@@ -7,12 +7,11 @@
 //                          [--alpha=0.9] [--repeats=3] [--shards=0]
 //                          [--max-threads=8]
 //
-// --model selects which estimator scales: `krr` (default) runs the
-// KrrProfiler/ShardedKrrProfiler pair directly; any other registry model
-// with a `<model>_sharded` adapter (shards, shards_fixed, aet) runs its
-// serial form as the baseline and the generic ShardedEstimator rows above
-// it, so the zoo's fan-out overhead is measured on the same footing as the
-// krr pipeline's.
+// --model selects which estimator scales: any registry model with a
+// `<model>_sharded` adapter (krr, shards, shards_fixed, aet) runs its
+// serial form as the baseline and the ShardedEstimator rows above it, all
+// through EstimatorRegistry, so every model's fan-out overhead is measured
+// on the same footing.
 //
 // --shards=0 (default) gives every thread count its own shard count
 // (S = T, the CLI default); a fixed --shards=S instead holds the model
@@ -31,23 +30,6 @@ using namespace krr;
 using namespace krrbench;
 
 namespace {
-
-double sharded_krr_seconds(const std::vector<Request>& trace,
-                           const KrrProfilerConfig& base, std::uint32_t shards,
-                           unsigned threads, int repeats,
-                           MissRatioCurve* out_mrc) {
-  const double secs = median_seconds(repeats, [&] {
-    ShardedKrrProfilerConfig cfg;
-    cfg.base = base;
-    cfg.shards = shards;
-    cfg.threads = threads;
-    ShardedKrrProfiler profiler(cfg);
-    for (const Request& r : trace) profiler.access(r);
-    profiler.finish();
-    if (out_mrc != nullptr) *out_mrc = profiler.mrc();
-  });
-  return secs;
-}
 
 std::unique_ptr<MrcEstimator> make_estimator(const std::string& name,
                                              const EstimatorOptions& eopts) {
@@ -83,9 +65,8 @@ int main(int argc, char** argv) {
   const auto max_threads =
       static_cast<unsigned>(opts.get_int("max-threads", 8));
 
-  const std::string sharded_model =
-      model == "krr" ? "krr_sharded" : model + "_sharded";
-  if (model != "krr" && !EstimatorRegistry::instance().contains(sharded_model)) {
+  const std::string sharded_model = model + "_sharded";
+  if (!EstimatorRegistry::instance().contains(sharded_model)) {
     std::cerr << "model '" << model
               << "' has no sharded adapter (see krr_cli models)\n";
     return 2;
@@ -94,24 +75,13 @@ int main(int argc, char** argv) {
   ZipfianGenerator gen(footprint, alpha, 21, /*scrambled=*/true);
   const std::vector<Request> trace = materialize(gen, n);
 
-  KrrProfilerConfig base;
-  base.k_sample = 5;
-  base.seed = 7;
   EstimatorOptions base_opts;
   base_opts.set("seed", "7");
 
   // Serial baseline: the default krr_cli profile path for this model.
   MissRatioCurve serial;
-  double serial_secs;
-  if (model == "krr") {
-    serial_secs = median_seconds(repeats, [&] {
-      KrrProfiler profiler(base);
-      for (const Request& r : trace) profiler.access(r);
-      serial = profiler.mrc();
-    });
-  } else {
-    serial_secs = registry_seconds(trace, model, base_opts, repeats, &serial);
-  }
+  const double serial_secs =
+      registry_seconds(trace, model, base_opts, repeats, &serial);
   const std::vector<double> sizes = evenly_spaced_sizes(serial.max_size(), 40);
 
   Table table({"model", "threads", "shards", "seconds", "mrec_per_s",
@@ -121,16 +91,11 @@ int main(int argc, char** argv) {
   for (unsigned threads = 2; threads <= max_threads; threads *= 2) {
     const std::uint32_t shards = fixed_shards == 0 ? threads : fixed_shards;
     MissRatioCurve merged;
-    double secs;
-    if (model == "krr") {
-      secs = sharded_krr_seconds(trace, base, shards, threads, repeats,
-                                 &merged);
-    } else {
-      EstimatorOptions eopts = base_opts;
-      eopts.set("shards", std::to_string(shards));
-      eopts.set("threads", std::to_string(threads));
-      secs = registry_seconds(trace, sharded_model, eopts, repeats, &merged);
-    }
+    EstimatorOptions eopts = base_opts;
+    eopts.set("shards", std::to_string(shards));
+    eopts.set("threads", std::to_string(threads));
+    const double secs =
+        registry_seconds(trace, sharded_model, eopts, repeats, &merged);
     table.add(model, threads, shards, secs,
               static_cast<double>(n) / secs / 1e6, serial_secs / secs,
               serial.mae(merged, sizes));

@@ -151,12 +151,13 @@ class ByteReader {
 inline constexpr std::uint32_t kStateStreamVersion = 1;
 
 /// Section tags. Values are append-only: never reuse a retired tag.
-inline constexpr std::uint32_t kSectionModelCore = 1;   // flat model counters
+inline constexpr std::uint32_t kSectionModelCore = 1;   // counters, filter, histogram
 inline constexpr std::uint32_t kSectionLruStack = 2;    // Olken treap state
 inline constexpr std::uint32_t kSectionCollector = 3;   // reuse-time collector
 inline constexpr std::uint32_t kSectionAdapter = 4;     // registry-adapter state
 inline constexpr std::uint32_t kSectionShardMeta = 5;   // composite fan-out header
 inline constexpr std::uint32_t kSectionShardState = 6;  // one live shard (repeated)
+inline constexpr std::uint32_t kSectionKrrStack = 7;    // KRR stack + its PRNG
 
 /// Builds a tagged-section stream. Bodies are assembled by the caller with
 /// the append_* helpers; add_section frames and checksums them.

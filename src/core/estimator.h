@@ -174,7 +174,7 @@ class MrcEstimator {
   /// budget as exhausted rather than looping. Default: cannot degrade.
   virtual bool degrade() { return false; }
 
-  /// --- Sharded-merge hooks (used by the generic ShardedEstimator runner,
+  /// --- Sharded-merge hooks (used by the ShardedEstimator runner,
   /// src/core/sharded_estimator.h). A model that declares the
   /// `spatial_sampling` capability and implements these two can run
   /// sharded: the runner hash-partitions the keyspace across per-shard
@@ -223,7 +223,7 @@ class MrcEstimator {
   virtual ModelGaugeSnapshot model_gauges() const;
 
   /// Attaches span/event tracing. Default is a no-op; estimators with
-  /// internal pipelines (krr_sharded's per-shard lanes) forward the tracer.
+  /// internal pipelines (the *_sharded per-shard lanes) forward the tracer.
   /// Non-owning; the tracer must outlive the estimator.
   virtual void attach_tracer(obs::Tracer* tracer) noexcept;
 

@@ -30,7 +30,6 @@
 #include "core/estimator.h"
 #include "core/profiler.h"
 #include "core/sharded_estimator.h"
-#include "core/sharded_profiler.h"
 #include "core/windowed_profiler.h"
 
 namespace krr {
@@ -72,7 +71,8 @@ ShardFailureMode parse_failure_mode(const std::string& mode) {
 }
 
 /// The shared mapping from option keys onto KrrProfilerConfig — one place,
-/// so `krr`, `krr_sharded` and `krr_windowed` agree on every knob.
+/// so `krr`, its shards under `krr_sharded`, and `krr_windowed` agree on
+/// every knob.
 KrrProfilerConfig krr_config_from(const EstimatorOptions& o) {
   KrrProfilerConfig cfg;
   cfg.k_sample = o.get_double("k", cfg.k_sample);
@@ -84,6 +84,7 @@ KrrProfilerConfig krr_config_from(const EstimatorOptions& o) {
   cfg.seed = get_u64(o, "seed", cfg.seed);
   cfg.histogram_quantum = get_u64(o, "quantum", cfg.histogram_quantum);
   cfg.max_stack_bytes = get_u64(o, "max_stack_bytes", cfg.max_stack_bytes);
+  cfg.shard_count = checked_shard_count(o);
   return cfg;
 }
 
@@ -131,6 +132,19 @@ class KrrEstimator final : public MrcEstimator {
     return profiler_.space_overhead_bytes();
   }
   bool degrade() override { return profiler_.degrade_step(); }
+  Status absorb(const MrcEstimator& other) override {
+    const auto* peer = dynamic_cast<const KrrEstimator*>(&other);
+    if (peer == nullptr) {
+      return invalid_argument_error(
+          "krr: absorb() requires another krr instance");
+    }
+    profiler_.absorb(peer->profiler_);
+    return Status::ok();
+  }
+  Status scale_mass(double factor) override {
+    profiler_.scale_mass(factor);
+    return Status::ok();
+  }
   Status save_state(std::string* out) const override {
     return profiler_.save_state(out);
   }
@@ -140,79 +154,6 @@ class KrrEstimator final : public MrcEstimator {
 
  private:
   KrrProfiler profiler_;
-};
-
-class ShardedKrrEstimator final : public MrcEstimator {
- public:
-  explicit ShardedKrrEstimator(const EstimatorOptions& o)
-      : profiler_(sharded_config_from(o)) {}
-
-  void access(const Request& req) override { profiler_.access(req); }
-  void finish() override { profiler_.finish(); }
-  MissRatioCurve mrc(const std::vector<double>&) const override {
-    return profiler_.mrc();
-  }
-  std::uint64_t processed() const override { return profiler_.processed(); }
-  RunReport run_report(const TraceReadReport* ingest) const override {
-    return profiler_.run_report(ingest);
-  }
-  obs::HeartbeatSnapshot snapshot() const override {
-    // Mid-run the live gauges are the (possibly slightly stale) values the
-    // workers last published; once the pipeline has joined, the aggregate
-    // accessors are exact, so the end-of-run summary reports them instead.
-    if (!profiler_.finished()) return profiler_.snapshot();
-    obs::HeartbeatSnapshot s;
-    s.records = profiler_.processed();
-    s.sampled = profiler_.sampled();
-    s.stack_depth = profiler_.stack_depth();
-    const RunReport report = profiler_.run_report();
-    s.resident_bytes = report.space_overhead_bytes;
-    s.sampling_rate = report.final_sampling_rate;
-    s.degradation_events = report.degradation_events;
-    return s;
-  }
-  void attach_metrics(obs::PipelineMetrics* metrics) noexcept override {
-    MrcEstimator::attach_metrics(metrics);
-    profiler_.attach_metrics(metrics);
-  }
-  void attach_tracer(obs::Tracer* tracer) noexcept override {
-    profiler_.attach_tracer(tracer);
-  }
-  void export_gauges(obs::MetricsRegistry& registry) const override {
-    profiler_.export_shard_gauges(registry);
-  }
-  // Governance is internal: the budget is split across shards, each of
-  // which runs the single-threaded enforcement on its own worker. The
-  // external hooks report nothing so the producer-side governor never
-  // races the workers.
-  std::uint64_t space_overhead_bytes() const override { return 0; }
-  bool degrade() override { return false; }
-
- private:
-  static ShardedKrrProfilerConfig sharded_config_from(const EstimatorOptions& o) {
-    ShardedKrrProfilerConfig cfg;
-    cfg.base = krr_config_from(o);
-    const std::uint64_t shards = get_u64(o, "shards", 1);
-    const std::uint64_t threads = get_u64(o, "threads", 1);
-    if (shards < 1) throw std::invalid_argument("shards must be >= 1");
-    if (threads < 1) throw std::invalid_argument("threads must be >= 1");
-    cfg.shards = static_cast<std::uint32_t>(shards);
-    cfg.threads = static_cast<unsigned>(threads);
-    cfg.queue_capacity = static_cast<std::size_t>(
-        get_u64(o, "queue_capacity", cfg.queue_capacity));
-    if (cfg.base.max_stack_bytes > 0) {
-      cfg.base.max_stack_bytes =
-          std::max<std::uint64_t>(1, cfg.base.max_stack_bytes / cfg.shards);
-    }
-    cfg.failure_mode = parse_failure_mode(o.get_string("failure_mode", "strict"));
-    cfg.journal_records = static_cast<std::size_t>(
-        get_u64(o, "journal_records", cfg.journal_records));
-    cfg.snapshot_stride = get_u64(o, "snapshot_stride", cfg.snapshot_stride);
-    cfg.retry.seed = cfg.base.seed;
-    return cfg;
-  }
-
-  ShardedKrrProfiler profiler_;
 };
 
 class WindowedKrrEstimator final : public MrcEstimator {
@@ -852,15 +793,18 @@ ShardedEstimator::Config sharded_wrapper_config(const std::string& base_model,
   if (shards < 1) throw std::invalid_argument("shards must be >= 1");
   if (threads < 1) throw std::invalid_argument("threads must be >= 1");
   cfg.shards = static_cast<std::uint32_t>(shards);
-  cfg.threads = static_cast<unsigned>(threads);
-  cfg.queue_capacity = static_cast<std::size_t>(
-      get_u64(o, "queue_capacity", cfg.queue_capacity));
-  cfg.failure_mode = parse_failure_mode(o.get_string("failure_mode", "strict"));
   cfg.max_stack_bytes = get_u64(o, "max_stack_bytes", 0);
-  cfg.journal_records = static_cast<std::size_t>(
-      get_u64(o, "journal_records", cfg.journal_records));
-  cfg.snapshot_stride = get_u64(o, "snapshot_stride", cfg.snapshot_stride);
-  cfg.retry.seed = get_u64(o, "seed", 0);
+  ShardFanout::Config& fanout = cfg.fanout;
+  fanout.threads = static_cast<unsigned>(threads);
+  fanout.queue_capacity = static_cast<std::size_t>(
+      get_u64(o, "queue_capacity", fanout.queue_capacity));
+  fanout.failure_mode =
+      parse_failure_mode(o.get_string("failure_mode", "strict"));
+  fanout.journal_records = static_cast<std::size_t>(
+      get_u64(o, "journal_records", fanout.journal_records));
+  fanout.snapshot_stride =
+      get_u64(o, "snapshot_stride", fanout.snapshot_stride);
+  fanout.retry.seed = get_u64(o, "seed", 0);
   return cfg;
 }
 
@@ -896,7 +840,7 @@ void register_builtin_estimators(EstimatorRegistry& registry) {
                 .metrics = true,
                 .governed_memory = true,
                 .checkpoint = true},
-       .option_keys = {"max_stack_bytes"}},
+       .option_keys = {"max_stack_bytes", "shard_count"}},
       make_factory<KrrEstimator>());
   registry.add(
       {.name = "krr_sharded",
@@ -908,11 +852,12 @@ void register_builtin_estimators(EstimatorRegistry& registry) {
                 .spatial_sampling = true,
                 .sharded = true,
                 .metrics = true,
-                .governed_memory = true},
+                .governed_memory = true,
+                .checkpoint = true},
        .option_keys = {"max_stack_bytes", "threads", "shards",
                        "queue_capacity", "failure_mode", "journal_records",
                        "snapshot_stride"}},
-      make_factory<ShardedKrrEstimator>());
+      make_sharded_factory("krr"));
   registry.add(
       {.name = "krr_windowed",
        .policy = "K-LRU",

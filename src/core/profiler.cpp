@@ -118,7 +118,8 @@ DistanceHistogram KrrProfiler::adjusted_histogram() const {
   // effect, == N*R without degradation) is credited (possibly negatively)
   // to the smallest-distance bucket.
   DistanceHistogram adjusted = histogram_;
-  if (config_.sampling_adjustment && current_sampling_rate() < 1.0) {
+  if (!adjustment_folded_ && config_.sampling_adjustment &&
+      current_sampling_rate() < 1.0) {
     const double diff = expected_sampled() - static_cast<double>(sampled_);
     if (diff != 0.0) adjusted.record(1, diff);
   }
@@ -126,10 +127,27 @@ DistanceHistogram KrrProfiler::adjusted_histogram() const {
 }
 
 MissRatioCurve KrrProfiler::mrc() const {
-  if (!config_.sampling_adjustment || current_sampling_rate() >= 1.0) {
+  if (adjustment_folded_ || !config_.sampling_adjustment ||
+      current_sampling_rate() >= 1.0) {
     return histogram_.to_mrc();
   }
   return adjusted_histogram().to_mrc();
+}
+
+void KrrProfiler::fold_adjustment() {
+  if (adjustment_folded_) return;
+  histogram_ = adjusted_histogram();
+  adjustment_folded_ = true;
+}
+
+void KrrProfiler::absorb(const KrrProfiler& other) {
+  fold_adjustment();
+  histogram_.merge(other.adjusted_histogram());
+}
+
+void KrrProfiler::scale_mass(double factor) {
+  fold_adjustment();
+  histogram_.scale(factor);
 }
 
 std::uint64_t KrrProfiler::space_overhead_bytes() const noexcept {
@@ -148,31 +166,48 @@ std::uint64_t KrrProfiler::space_overhead_bytes() const noexcept {
 
 Status KrrProfiler::save_state(std::string* out) const {
   if (out == nullptr) return invalid_argument_error("save_state: null output");
-  std::string& buf = *out;
-  buf.clear();
-  ckpt::append_u64(buf, processed_);
-  ckpt::append_u64(buf, sampled_);
-  ckpt::append_u64(buf, degradation_events_);
-  ckpt::append_u64(buf, processed_at_rate_change_);
-  ckpt::append_double(buf, configured_rate_);
-  ckpt::append_double(buf, expected_sampled_base_);
-  ckpt::append_u64(buf, filter_.modulus());
-  ckpt::append_u64(buf, filter_.threshold());
-  ckpt::append_u64(buf, filter_.halvings());
-  const auto bins = histogram_.sorted_bins();
-  ckpt::append_u64(buf, bins.size());
-  for (const auto& [dist, weight] : bins) {
-    ckpt::append_u64(buf, dist);
-    ckpt::append_double(buf, weight);
+  if (adjustment_folded_) {
+    return invalid_argument_error(
+        "profiler snapshot unavailable after a sharded merge");
   }
-  ckpt::append_double(buf, histogram_.infinite_weight());
-  ckpt::append_double(buf, histogram_.total_weight());
-  stack_.save_state(buf);
+  out->clear();
+  ckpt::StateWriter writer(*out);
+  std::string core;
+  ckpt::append_u64(core, processed_);
+  ckpt::append_u64(core, sampled_);
+  ckpt::append_u64(core, degradation_events_);
+  ckpt::append_u64(core, processed_at_rate_change_);
+  ckpt::append_double(core, configured_rate_);
+  ckpt::append_double(core, expected_sampled_base_);
+  ckpt::append_u64(core, filter_.modulus());
+  ckpt::append_u64(core, filter_.threshold());
+  ckpt::append_u64(core, filter_.halvings());
+  const auto bins = histogram_.sorted_bins();
+  ckpt::append_u64(core, bins.size());
+  for (const auto& [dist, weight] : bins) {
+    ckpt::append_u64(core, dist);
+    ckpt::append_double(core, weight);
+  }
+  ckpt::append_double(core, histogram_.infinite_weight());
+  ckpt::append_double(core, histogram_.total_weight());
+  writer.add_section(ckpt::kSectionModelCore, core);
+  std::string stack;
+  stack_.save_state(stack);
+  writer.add_section(ckpt::kSectionKrrStack, stack);
   return Status::ok();
 }
 
 Status KrrProfiler::load_state(const std::string& payload) {
-  ckpt::ByteReader reader(payload);
+  // A pre-section (flat) payload fails here with a classified status: its
+  // first word is the processed count, not the stream version.
+  auto parsed = ckpt::StateReader::parse(payload);
+  if (!parsed.is_ok()) return parsed.status();
+  const std::string* core = parsed.value().find(ckpt::kSectionModelCore);
+  const std::string* stack = parsed.value().find(ckpt::kSectionKrrStack);
+  if (core == nullptr || stack == nullptr) {
+    return bad_record_error("profiler snapshot is missing a required section");
+  }
+  ckpt::ByteReader reader(*core);
   std::uint64_t filter_modulus = 0, filter_threshold = 0, filter_halvings = 0;
   std::uint64_t bin_count = 0;
   if (!reader.read_u64(&processed_) || !reader.read_u64(&sampled_) ||
@@ -182,7 +217,7 @@ Status KrrProfiler::load_state(const std::string& payload) {
       !reader.read_double(&expected_sampled_base_) ||
       !reader.read_u64(&filter_modulus) || !reader.read_u64(&filter_threshold) ||
       !reader.read_u64(&filter_halvings) || !reader.read_u64(&bin_count)) {
-    return truncated_error("profiler snapshot payload is truncated");
+    return truncated_error("profiler snapshot core section is truncated");
   }
   if (filter_modulus != filter_.modulus()) {
     return bad_record_error(
@@ -206,12 +241,13 @@ Status KrrProfiler::load_state(const std::string& payload) {
   if (!reader.read_double(&infinite) || !reader.read_double(&total)) {
     return truncated_error("profiler snapshot histogram is truncated");
   }
-  histogram_.restore(bins, infinite, total);
-  if (!stack_.load_state(reader)) {
-    return bad_record_error("profiler snapshot stack section is corrupt");
-  }
   if (!reader.exhausted()) {
-    return bad_record_error("profiler snapshot has trailing bytes");
+    return bad_record_error("profiler snapshot core has trailing bytes");
+  }
+  histogram_.restore(bins, infinite, total);
+  ckpt::ByteReader stack_reader(*stack);
+  if (!stack_.load_state(stack_reader) || !stack_reader.exhausted()) {
+    return bad_record_error("profiler snapshot stack section is corrupt");
   }
   return Status::ok();
 }

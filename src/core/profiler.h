@@ -43,11 +43,11 @@ struct KrrProfilerConfig {
   /// between expected (N*R) and actual sampled reference counts. Only
   /// relevant when sampling_rate < 1.
   bool sampling_adjustment = true;
-  /// Hash-sharded operation (see ShardedKrrProfiler): this profiler models
-  /// one of `shard_count` hash-disjoint keyspace partitions, so its input
-  /// stream is itself a uniform spatial sample at rate 1/shard_count and a
-  /// shard-local stack distance d estimates a global distance
-  /// d * shard_count / R. 1 (the default) means unsharded; the distance
+  /// Hash-sharded operation (krr_sharded, see ShardedEstimator): this
+  /// profiler models one of `shard_count` hash-disjoint keyspace
+  /// partitions, so its input stream is itself a uniform spatial sample at
+  /// rate 1/shard_count and a shard-local stack distance d estimates a
+  /// global distance d * shard_count / R. 1 (the default) means unsharded; the distance
   /// scale is then multiplied by exactly 1.0, so behaviour is bit-identical
   /// to a build without this field.
   std::uint32_t shard_count = 1;
@@ -134,6 +134,17 @@ class KrrProfiler {
   /// the global correction because expectations are per-shard linear.
   DistanceHistogram adjusted_histogram() const;
 
+  /// Sharded-merge hooks (DESIGN.md §12). absorb() folds another shard's
+  /// adjusted histogram into this one's adjusted histogram — each operand
+  /// is corrected against its own expectation first, which stays right
+  /// when shards degraded to different rates — and scale_mass() multiplies
+  /// the merged mass by `factor` (the S/(S-F) survivor rescale). Both fold
+  /// the correction into histogram() for good, so mrc() does not apply it
+  /// again; the counters and the stack stay this shard's own. They end the
+  /// run: access() and save_state() are not meaningful afterwards.
+  void absorb(const KrrProfiler& other);
+  void scale_mass(double factor);
+
   const DistanceHistogram& histogram() const noexcept { return histogram_; }
 
   std::uint64_t processed() const noexcept { return processed_; }
@@ -162,9 +173,11 @@ class KrrProfiler {
   /// bottomed out at threshold 1 (no further shrinking is possible).
   bool degrade_step();
 
-  /// Checkpoint support: serializes the complete profiler state (filter
-  /// epoch, stack, histogram, counters, PRNG) so an identically configured
-  /// profiler resumes bit-identically after load_state().
+  /// Checkpoint support: serializes the complete profiler state as a
+  /// tagged-section stream (DESIGN.md §13) — counters, filter epoch and
+  /// histogram in kSectionModelCore, the stack and its PRNG in
+  /// kSectionKrrStack — so an identically configured profiler resumes
+  /// bit-identically after load_state(). Refused after absorb()/scale_mass().
   Status save_state(std::string* out) const;
   Status load_state(const std::string& payload);
 
@@ -189,6 +202,8 @@ class KrrProfiler {
 
  private:
   void maybe_degrade();
+  /// Replaces histogram_ by adjusted_histogram() once (absorb/scale_mass).
+  void fold_adjustment();
 
   KrrProfilerConfig config_;
   SpatialFilter filter_;
@@ -197,6 +212,9 @@ class KrrProfiler {
   std::uint64_t processed_ = 0;
   std::uint64_t sampled_ = 0;
   std::uint64_t degradation_events_ = 0;
+  /// Set once absorb()/scale_mass() has folded the SHARDS-adj correction
+  /// into histogram_.
+  bool adjustment_folded_ = false;
   /// The realized configured rate (filter rate before any degradation),
   /// so run_report() reports it even on a zero-access run.
   double configured_rate_ = 1.0;

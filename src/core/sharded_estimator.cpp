@@ -3,11 +3,17 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
+#include "util/faultpoint.h"
 #include "util/hashing.h"
+#include "util/parallel.h"
+#include "util/stopwatch.h"
 
 namespace krr {
 
@@ -22,55 +28,615 @@ bool is_fanout_key(const std::string& key) {
          key == "journal_records" || key == "snapshot_stride";
 }
 
+/// Records a worker pulls from one shard queue before moving to its next
+/// owned shard (and before republishing that shard's live gauges). Large
+/// enough to amortize the gauge stores, small enough that a worker owning
+/// several shards does not starve any of them.
+constexpr int kDrainBatch = 256;
+
+/// Drain batches between traced drain spans. A span costs two clock
+/// reads, so with 256-record batches a traced worker reads the clock once
+/// per ~4096 records — the same stride Heartbeat::tick gates at.
+constexpr std::uint64_t kDrainTraceStride = 16;
+
 }  // namespace
 
-Status ShardedEstimator::ShardPayload::save_state(std::string* out) const {
-  std::string inner;
-  const Status status = estimator->save_state(&inner);
-  if (!status.is_ok()) return status;
-  out->clear();
-  ckpt::append_u64(*out, accesses);
-  *out += inner;
-  return Status::ok();
-}
+struct ShardPayload {
+  std::unique_ptr<MrcEstimator> estimator;
+  /// Recreates a fresh instance with this shard's exact options — the
+  /// resurrection path's rebuild() hook.
+  std::function<std::unique_ptr<MrcEstimator>()> factory;
+  std::uint64_t budget_bytes = 0;  // per-shard share; 0 = ungoverned
+  std::uint64_t accesses = 0;
 
-Status ShardedEstimator::ShardPayload::load_state(const std::string& blob) {
-  ckpt::ByteReader reader(blob);
-  std::uint64_t saved_accesses = 0;
-  if (!reader.read_u64(&saved_accesses)) {
-    return truncated_error("shard mini-checkpoint truncated");
+  void access(const Request& req) {
+    estimator->access(req);
+    if (budget_bytes != 0 && (++accesses & 4095u) == 0) {
+      // Per-shard budget enforcement on the consuming thread — the external
+      // RunGovernor loop cannot reach inside a threaded pipeline (it would
+      // race the workers), so each shard polices its own split of the
+      // global ceiling. The step bound keeps a pathological degrade() from
+      // stalling the drain loop.
+      int steps = 0;
+      while (estimator->space_overhead_bytes() > budget_bytes && steps++ < 64) {
+        if (!estimator->degrade()) break;
+      }
+    }
   }
-  const Status status = estimator->load_state(blob.substr(8));
-  if (!status.is_ok()) return status;
-  accesses = saved_accesses;
-  return Status::ok();
-}
 
-void ShardedEstimator::ShardPayload::rebuild() {
-  estimator = factory();
-  // The budget-check stride restarts with the fresh instance; load_state
-  // (or the journal replay, for a pre-snapshot resurrection) brings the
-  // counter back to the failed instance's position.
-  accesses = 0;
-}
+  obs::HeartbeatSnapshot live_state() const { return estimator->snapshot(); }
 
-void ShardedEstimator::ShardPayload::access(const Request& req) {
-  estimator->access(req);
-  if (budget_bytes != 0 && (++accesses & 4095u) == 0) {
-    // Per-shard budget enforcement on the consuming thread — the external
-    // RunGovernor loop cannot reach inside a threaded pipeline (it would
-    // race the workers), so each shard polices its own split of the global
-    // ceiling, the same contract krr_sharded has. The step bound keeps a
-    // pathological degrade() from stalling the drain loop.
-    int steps = 0;
-    while (estimator->space_overhead_bytes() > budget_bytes && steps++ < 64) {
-      if (!estimator->degrade()) break;
+  /// Replay-recovery mini-checkpoint: the access counter (the budget-check
+  /// stride position) followed by the inner estimator's save_state bytes.
+  Status save_state(std::string* out) const {
+    std::string inner;
+    const Status status = estimator->save_state(&inner);
+    if (!status.is_ok()) return status;
+    out->clear();
+    ckpt::append_u64(*out, accesses);
+    *out += inner;
+    return Status::ok();
+  }
+
+  Status load_state(const std::string& blob) {
+    ckpt::ByteReader reader(blob);
+    std::uint64_t saved_accesses = 0;
+    if (!reader.read_u64(&saved_accesses)) {
+      return truncated_error("shard mini-checkpoint truncated");
+    }
+    const Status status = estimator->load_state(blob.substr(8));
+    if (!status.is_ok()) return status;
+    accesses = saved_accesses;
+    return Status::ok();
+  }
+
+  void rebuild() {
+    estimator = factory();
+    // The budget-check stride restarts with the fresh instance; load_state
+    // (or the journal replay, for a pre-snapshot resurrection) brings the
+    // counter back to the failed instance's position.
+    accesses = 0;
+  }
+};
+
+struct ShardFanout::Shard {
+  Shard(std::unique_ptr<ShardPayload> p, std::size_t queue_capacity,
+        std::size_t journal_capacity)
+      : payload(std::move(p)), queue(queue_capacity) {
+    if (journal_capacity != 0) journal.resize(journal_capacity);
+  }
+
+  std::unique_ptr<ShardPayload> payload;
+  SpscQueue<Request> queue;
+
+  // Replay-recovery state, all consumer-owned (only the worker that owns
+  // this shard — or the producer in inline mode — ever touches it, so no
+  // atomics). `journal` is a ring of the last journal.size() applied
+  // records; `applied` counts records ever applied to the payload;
+  // `snapshot` is the payload's last mini-checkpoint, taken at
+  // `snapshot_applied` applied records. Resurrection = fresh payload +
+  // load(snapshot) + replay journal[snapshot_applied, applied) — possible
+  // exactly while applied - snapshot_applied <= journal.size().
+  std::vector<Request> journal;
+  std::uint64_t applied = 0;
+  std::uint64_t snapshot_applied = 0;
+  std::string snapshot;
+  std::uint64_t resurrections = 0;
+
+  // Best-effort failure mode: set (by the owning worker, or the producer
+  // in inline mode) when this shard's pipeline threw. A dead shard's
+  // queue is drained to the bit bucket and its state is excluded from
+  // merges.
+  std::atomic<bool> dead{false};
+
+  // Worker-owned drain-batch counter gating traced spans (no atomics:
+  // one consumer per shard).
+  std::uint64_t drain_batches = 0;
+
+  // Quiesce ledger. `routed` counts records the producer successfully
+  // enqueued to this shard (plain: single producer, and only the producer
+  // reads it, in quiesce()); `consumed` counts records the worker has
+  // fully disposed of — applied to the payload, bit-bucketed for a dead
+  // shard, or swallowed by a best-effort failure — and is incremented
+  // with release order *after* the disposal so quiesce()'s acquire load
+  // publishes the payload mutations. consumed == routed therefore means
+  // "every record handed to this shard is reflected in its state".
+  std::uint64_t routed = 0;
+  std::atomic<std::uint64_t> consumed{0};
+
+  // Live gauges the owning worker publishes once per drain batch so the
+  // producer thread can heartbeat without touching payload internals.
+  std::atomic<std::uint64_t> live_sampled{0};
+  std::atomic<std::uint64_t> live_depth{0};
+  std::atomic<std::uint64_t> live_resident{0};
+  std::atomic<std::uint64_t> live_degradations{0};
+  std::atomic<double> live_rate{1.0};
+
+  void publish_live() noexcept {
+    const obs::HeartbeatSnapshot live = payload->live_state();
+    live_sampled.store(live.sampled, std::memory_order_relaxed);
+    live_depth.store(live.stack_depth, std::memory_order_relaxed);
+    live_resident.store(live.resident_bytes, std::memory_order_relaxed);
+    live_degradations.store(live.degradation_events,
+                            std::memory_order_relaxed);
+    live_rate.store(live.sampling_rate, std::memory_order_relaxed);
+  }
+
+  void journal_append(const Request& req) {
+    if (!journal.empty()) journal[applied % journal.size()] = req;
+    ++applied;
+  }
+};
+
+ShardFanout::ShardFanout(std::vector<std::unique_ptr<ShardPayload>> payloads,
+                         Config config)
+    : config_(std::move(config)) {
+  if (config_.failure_mode != ShardFailureMode::kReplay) {
+    config_.journal_records = 0;
+  } else if (config_.snapshot_stride == 0) {
+    config_.snapshot_stride =
+        std::max<std::uint64_t>(config_.journal_records / 2, 1);
+  }
+  shards_.reserve(payloads.size());
+  for (auto& payload : payloads) {
+    shards_.push_back(std::make_unique<Shard>(
+        std::move(payload), config_.queue_capacity, config_.journal_records));
+    shards_.back()->publish_live();
+  }
+  if (config_.threads > 1) {
+    worker_count_ = std::min<unsigned>(
+        config_.threads, static_cast<unsigned>(shards_.size()));
+    pool_ = std::make_unique<ThreadPool>(worker_count_);
+    for (unsigned t = 0; t < worker_count_; ++t) {
+      pool_->submit([this, t] { drain_loop(t); });
     }
   }
 }
 
-std::vector<std::unique_ptr<ShardedEstimator::ShardPayload>>
-ShardedEstimator::make_payloads(const Config& config) {
+ShardFanout::~ShardFanout() {
+  done_.store(true, std::memory_order_release);
+  // ThreadPool's destructor joins after the drain tasks exit; worker
+  // exceptions that finish() never observed die with the pool.
+  pool_.reset();
+}
+
+void ShardFanout::route(std::uint32_t index, const Request& req) {
+  ++processed_;
+  Shard& shard = *shards_[index];
+  if constexpr (obs::kHotPathInstrumentation) {
+    if (metrics_ != nullptr) {
+      metrics_->sharded.enqueued->inc();
+      if ((processed_ & 1023u) == 0) {
+        metrics_->sharded.queue_depth->record(shard.queue.size_approx());
+      }
+    }
+  }
+  if (shard.dead.load(std::memory_order_acquire)) {
+    dropped_records_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  if (faults::should_fire(faults::kQueuePush, index)) {
+    // An injected push fault. Strict mode treats it like any producer
+    // failure (the exception aborts the run); recovering modes lose just
+    // this record — it never reaches a queue, so there is nothing for
+    // replay to bridge — and count it as dropped.
+    if (config_.failure_mode == ShardFailureMode::kStrict) {
+      throw faults::FaultInjectedError("injected fault at queue push, shard " +
+                                       std::to_string(index));
+    }
+    dropped_records_.fetch_add(1, std::memory_order_relaxed);
+    if (tracer_ != nullptr) {
+      tracer_->instant("sharded.queue_fault", "sharded", 0,
+                       {{"shard", static_cast<double>(index)}});
+    }
+    return;
+  }
+  if (worker_count_ == 0) {
+    // Inline mode: consume synchronously (strict failures propagate to
+    // the caller, recovering modes dispose of the record like a worker
+    // would).
+    if (!consume_record(shard, index, req)) {
+      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return;
+  }
+  if (shard.queue.try_push(req)) {
+    ++shard.routed;
+    return;
+  }
+  // Backpressure: the shard's worker is behind. Back off (spin, then
+  // yield, then bounded sleeps) rather than block on a condvar — stalls
+  // are usually transient (a worker mid-batch), but a persistently slow
+  // shard must not pin the producer core.
+  if constexpr (obs::kHotPathInstrumentation) {
+    if (metrics_ != nullptr) metrics_->sharded.producer_stalls->inc();
+  }
+  const std::uint64_t stall_start_ns =
+      tracer_ != nullptr ? tracer_->now_ns() : 0;
+  const auto trace_stall = [&] {
+    if (tracer_ != nullptr) {
+      tracer_->complete("sharded.queue_stall", "sharded", 0, stall_start_ns,
+                        tracer_->now_ns() - stall_start_ns,
+                        {{"shard", static_cast<double>(index)}});
+    }
+  };
+  Stopwatch stall;
+  Backoff backoff;
+  for (;;) {
+    if (failed_.load(std::memory_order_acquire)) {
+      // A worker died; its queues will never drain. Drop the record —
+      // the run is poisoned and finish() will rethrow the worker's error.
+      stall_seconds_ += stall.seconds();
+      trace_stall();
+      return;
+    }
+    if (shard.dead.load(std::memory_order_acquire)) {
+      // Best-effort: this shard just died under us; stop waiting on it.
+      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+      stall_seconds_ += stall.seconds();
+      trace_stall();
+      return;
+    }
+    if (backoff.pause()) {
+      if constexpr (obs::kHotPathInstrumentation) {
+        if (metrics_ != nullptr) {
+          metrics_->sharded.backpressure_sleeps->inc();
+        }
+      }
+    }
+    if (shard.queue.try_push(req)) break;
+  }
+  ++shard.routed;
+  stall_seconds_ += stall.seconds();
+  trace_stall();
+}
+
+Status ShardFanout::quiesce() {
+  if (worker_count_ == 0) return Status::ok();
+  Backoff backoff;
+  for (;;) {
+    if (failed_.load(std::memory_order_acquire)) {
+      return internal_error(
+          "cannot quiesce shards: a worker failed; finish() will rethrow "
+          "its error");
+    }
+    bool drained = true;
+    for (const auto& shard : shards_) {
+      if (shard->consumed.load(std::memory_order_acquire) != shard->routed) {
+        drained = false;
+        break;
+      }
+    }
+    if (drained) return Status::ok();
+    backoff.pause();
+  }
+}
+
+void ShardFanout::restore_fanout_state(std::uint64_t processed,
+                                       std::uint64_t dropped,
+                                       const std::vector<bool>& dead_flags) {
+  processed_ = processed;
+  dropped_records_.store(dropped, std::memory_order_relaxed);
+  std::uint64_t failed = 0;
+  for (std::size_t s = 0; s < shards_.size() && s < dead_flags.size(); ++s) {
+    if (dead_flags[s]) {
+      shards_[s]->dead.store(true, std::memory_order_release);
+      ++failed;
+    }
+  }
+  shards_failed_.store(failed, std::memory_order_relaxed);
+}
+
+void ShardFanout::finish() {
+  if (finished_) return;
+  if (worker_count_ != 0) {
+    const std::uint64_t join_start_ns =
+        tracer_ != nullptr ? tracer_->now_ns() : 0;
+    done_.store(true, std::memory_order_release);
+    pool_->wait_idle();  // rethrows the first worker exception (strict)
+    if (tracer_ != nullptr) {
+      tracer_->complete("sharded.drain_join", "sharded", 0, join_start_ns,
+                        tracer_->now_ns() - join_start_ns);
+    }
+  }
+  finished_ = true;
+  if constexpr (obs::kHotPathInstrumentation) {
+    if (metrics_ != nullptr) {
+      metrics_->sharded.stall_seconds->set(stall_seconds_);
+      metrics_->sharded.shard_failures->inc(shards_failed());
+    }
+  }
+  // Best-effort recovery extrapolates from the survivors; with none left
+  // there is nothing to extrapolate from and the run has truly failed.
+  if (shards_failed() >= shards_.size()) {
+    throw StatusError(resource_limit_error(
+        "all " + std::to_string(shards_.size()) +
+        " shards failed; no surviving shard to merge"));
+  }
+}
+
+std::uint64_t ShardFanout::shard_resurrections(std::uint32_t s) const {
+  return shards_.at(s)->resurrections;
+}
+
+ShardPayload& ShardFanout::payload(std::uint32_t s) {
+  return *shards_.at(s)->payload;
+}
+
+const ShardPayload& ShardFanout::payload(std::uint32_t s) const {
+  return *shards_.at(s)->payload;
+}
+
+bool ShardFanout::dead(std::uint32_t s) const {
+  return shards_.at(s)->dead.load(std::memory_order_acquire);
+}
+
+obs::HeartbeatSnapshot ShardFanout::live_aggregate() const {
+  obs::HeartbeatSnapshot snap;
+  snap.records = processed_;
+  double min_rate = 1.0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    if (worker_count_ == 0) {
+      // Inline mode: no concurrency, read the payload directly.
+      const obs::HeartbeatSnapshot live = shard.payload->live_state();
+      snap.sampled += live.sampled;
+      snap.stack_depth += live.stack_depth;
+      snap.resident_bytes += live.resident_bytes;
+      snap.degradation_events += live.degradation_events;
+      min_rate = s == 0 ? live.sampling_rate
+                        : std::min(min_rate, live.sampling_rate);
+    } else {
+      snap.sampled += shard.live_sampled.load(std::memory_order_relaxed);
+      snap.stack_depth += shard.live_depth.load(std::memory_order_relaxed);
+      snap.resident_bytes +=
+          shard.live_resident.load(std::memory_order_relaxed);
+      snap.degradation_events +=
+          shard.live_degradations.load(std::memory_order_relaxed);
+      const double rate = shard.live_rate.load(std::memory_order_relaxed);
+      min_rate = s == 0 ? rate : std::min(min_rate, rate);
+    }
+  }
+  snap.sampling_rate = min_rate;
+  return snap;
+}
+
+void ShardFanout::attach_metrics(obs::PipelineMetrics* metrics) noexcept {
+  if constexpr (obs::kHotPathInstrumentation) {
+    metrics_ = metrics;
+    if (metrics_ != nullptr) {
+      metrics_->sharded.shards->set(static_cast<double>(shards_.size()));
+      metrics_->sharded.threads->set(static_cast<double>(worker_count_));
+    }
+  } else {
+    (void)metrics;
+  }
+}
+
+void ShardFanout::attach_tracer(obs::Tracer* tracer) noexcept {
+  tracer_ = tracer;
+  if (tracer_ == nullptr) return;
+  tracer_->set_lane_name(0, "producer");
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    tracer_->set_lane_name(static_cast<std::uint32_t>(s) + 1,
+                           "shard " + std::to_string(s));
+  }
+}
+
+void ShardFanout::drain_batch(Shard& shard, std::uint32_t index,
+                              bool& did_work) {
+  Request req;
+  int budget = kDrainBatch;
+  if (shard.dead.load(std::memory_order_relaxed)) {
+    // Discard what the producer enqueued before it noticed the death;
+    // the queue must keep draining or the producer's backpressure spin
+    // would wait on a shard that will never consume.
+    while (budget-- > 0 && shard.queue.try_pop(req)) {
+      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+      shard.consumed.fetch_add(1, std::memory_order_release);
+      did_work = true;
+    }
+    return;
+  }
+  // Stride-gated drain spans: one traced batch (two clock reads) every
+  // kDrainTraceStride batches; untraced batches pay one branch.
+  const bool traced =
+      tracer_ != nullptr && (shard.drain_batches++ % kDrainTraceStride) == 0;
+  const std::uint64_t batch_start_ns = traced ? tracer_->now_ns() : 0;
+  int drained = 0;
+  while (budget-- > 0 && shard.queue.try_pop(req)) {
+    // Strict-mode failures throw through to drain_loop/the pool; a
+    // recovering mode that could not save the shard returns false — the
+    // record that killed it is disposed of (swallowed), so it still
+    // counts as consumed.
+    const bool ok = consume_record(shard, index, req);
+    shard.consumed.fetch_add(1, std::memory_order_release);
+    if (!ok) {
+      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+      did_work = true;
+      return;
+    }
+    ++drained;
+  }
+  if (drained > 0) {
+    shard.publish_live();
+    did_work = true;
+    if (traced) {
+      tracer_->complete(
+          "sharded.drain", "sharded", index + 1, batch_start_ns,
+          tracer_->now_ns() - batch_start_ns,
+          {{"records", static_cast<double>(drained)},
+           {"depth", static_cast<double>(
+                shard.live_depth.load(std::memory_order_relaxed))}});
+    }
+  }
+}
+
+/// Consumer side: applies one record to a live shard's payload, with the
+/// fault point, journaling, mini-checkpoints, and failure handling.
+/// Returns true when the record is reflected in the payload (possibly
+/// after a resurrection), false when the shard died under it. Strict
+/// mode throws instead of dying.
+bool ShardFanout::consume_record(Shard& shard, std::uint32_t index,
+                                 const Request& req) {
+  try {
+    if (config_.before_access_hook) config_.before_access_hook(index, req);
+    faults::maybe_fire(faults::kShardWorker, index);
+    shard.payload->access(req);
+  } catch (...) {
+    if (config_.failure_mode == ShardFailureMode::kStrict) throw;
+    if (config_.failure_mode == ShardFailureMode::kReplay &&
+        try_resurrect(shard, index, req)) {
+      return true;
+    }
+    kill_shard(shard, index);
+    return false;
+  }
+  shard.journal_append(req);
+  maybe_snapshot(shard, index);
+  return true;
+}
+
+void ShardFanout::kill_shard(Shard& shard, std::uint32_t index) {
+  shard.dead.store(true, std::memory_order_release);
+  shards_failed_.fetch_add(1, std::memory_order_relaxed);
+  if (tracer_ != nullptr) {
+    tracer_->instant("sharded.shard_failed", "sharded", index + 1,
+                     {{"shard", static_cast<double>(index)}});
+  }
+}
+
+/// Mini-checkpoint cadence: every snapshot_stride applied records the
+/// owning worker saves the payload into shard-local storage. A failed
+/// save keeps the previous snapshot — the shard stays recoverable up to
+/// the old snapshot's journal window and the failure is traced, not
+/// fatal.
+void ShardFanout::maybe_snapshot(Shard& shard, std::uint32_t index) {
+  if (config_.journal_records == 0 ||
+      shard.applied - shard.snapshot_applied < config_.snapshot_stride) {
+    return;
+  }
+  std::string state;
+  Status status = Status::ok();
+  try {
+    status = shard.payload->save_state(&state);
+  } catch (...) {
+    status = internal_error("shard snapshot threw");
+  }
+  if (status.is_ok()) {
+    shard.snapshot = std::move(state);
+    shard.snapshot_applied = shard.applied;
+  } else if (tracer_ != nullptr) {
+    tracer_->instant("sharded.shard_snapshot_failed", "sharded", index + 1,
+                     {{"shard", static_cast<double>(index)}});
+  }
+}
+
+/// Resurrects a shard whose payload just threw on `req`: fresh payload,
+/// reload the last mini-checkpoint, replay the journal tail, re-apply the
+/// failing record — retried under the configured RetryPolicy, every
+/// attempt traced as a sharded.shard_resurrect span. Returns false (and
+/// leaves the caller to fall back to drop-and-rescale) when the journal
+/// cannot bridge back to the snapshot or every attempt failed. The replay
+/// calls the payload directly — no hook, no fault point — so a trigger
+/// armed on this shard does not re-kill the recovery itself; the hit
+/// counter simply resumes with the next fresh record.
+bool ShardFanout::try_resurrect(Shard& shard, std::uint32_t index,
+                                const Request& req) {
+  const std::uint64_t pending = shard.applied - shard.snapshot_applied;
+  if (shard.journal.empty() || pending > shard.journal.size()) {
+    if (tracer_ != nullptr) {
+      tracer_->instant("sharded.replay_window_exceeded", "sharded", index + 1,
+                       {{"shard", static_cast<double>(index)},
+                        {"pending", static_cast<double>(pending)},
+                        {"journal", static_cast<double>(shard.journal.size())}});
+    }
+    return false;
+  }
+  for (unsigned attempt = 1; attempt <= config_.retry.max_attempts;
+       ++attempt) {
+    if (attempt > 1) config_.retry.sleep(attempt - 1);
+    const std::uint64_t start_ns = tracer_ != nullptr ? tracer_->now_ns() : 0;
+    bool ok = false;
+    try {
+      shard.payload->rebuild();
+      ok = shard.snapshot.empty() ||
+           shard.payload->load_state(shard.snapshot).is_ok();
+      if (ok) {
+        for (std::uint64_t i = shard.snapshot_applied; i < shard.applied;
+             ++i) {
+          shard.payload->access(shard.journal[i % shard.journal.size()]);
+        }
+        shard.payload->access(req);  // the record that killed the worker
+      }
+    } catch (...) {
+      ok = false;
+    }
+    if (tracer_ != nullptr) {
+      tracer_->complete("sharded.shard_resurrect", "sharded", index + 1,
+                        start_ns, tracer_->now_ns() - start_ns,
+                        {{"shard", static_cast<double>(index)},
+                         {"attempt", static_cast<double>(attempt)},
+                         {"replayed", static_cast<double>(pending)},
+                         {"ok", ok ? 1.0 : 0.0}});
+    }
+    if (ok) {
+      shard.journal_append(req);
+      ++shard.resurrections;
+      resurrections_.fetch_add(1, std::memory_order_relaxed);
+      replayed_records_.fetch_add(pending, std::memory_order_relaxed);
+      if constexpr (obs::kHotPathInstrumentation) {
+        if (metrics_ != nullptr) {
+          metrics_->sharded.resurrections->inc();
+          metrics_->sharded.replayed_records->inc(pending);
+        }
+      }
+      shard.publish_live();
+      return true;
+    }
+  }
+  return false;
+}
+
+void ShardFanout::drain_loop(unsigned worker_index) {
+  // Static shard ownership (shard s -> worker s % T) keeps every queue
+  // strictly single-consumer.
+  std::vector<std::uint32_t> owned;
+  for (std::uint32_t s = worker_index; s < shards_.size();
+       s += worker_count_) {
+    owned.push_back(s);
+  }
+  try {
+    for (;;) {
+      bool did_work = false;
+      for (std::uint32_t s : owned) drain_batch(*shards_[s], s, did_work);
+      if (did_work) continue;
+      if (done_.load(std::memory_order_acquire)) {
+        // done_ was released after the producer's last push, so an empty
+        // check after this acquire is conclusive.
+        bool all_empty = true;
+        for (std::uint32_t s : owned) {
+          if (!shards_[s]->queue.empty_approx()) {
+            all_empty = false;
+            break;
+          }
+        }
+        if (all_empty) return;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  } catch (...) {
+    // Flag first so the producer's stall loop cannot wait forever on
+    // this worker's queues, then let the pool capture the exception for
+    // finish() to rethrow.
+    failed_.store(true, std::memory_order_release);
+    throw;
+  }
+}
+
+std::vector<std::unique_ptr<ShardPayload>> ShardedEstimator::make_payloads(
+    const Config& config) {
   const std::uint32_t shard_n = config.shards == 0 ? 1 : config.shards;
   EstimatorOptions base;
   for (const auto& [key, value] : config.base_options.entries()) {
@@ -83,13 +649,12 @@ ShardedEstimator::make_payloads(const Config& config) {
     EstimatorOptions opts = base;
     // Shard-aware injection: the base model rescales its recorded
     // distances/reuse times by S (closure under uniform thinning), and
-    // seeded models get independent RNG streams. An unset seed stays
-    // unset so S=1 remains option-identical to the serial model.
+    // seeded models get independent RNG streams. The base seed defaults to
+    // 1 — the seeded models' own default — so S=1 with no seed stays
+    // seed-identical to the serial model.
     opts.set("shard_count", std::to_string(shard_n));
-    if (base.has("seed")) {
-      opts.set("seed", std::to_string(base.get_int("seed", 0) +
-                                      static_cast<std::int64_t>(s)));
-    }
+    opts.set("seed", std::to_string(base.get_int("seed", 1) +
+                                    static_cast<std::int64_t>(s)));
     auto payload = std::make_unique<ShardPayload>();
     // The factory is the resurrection path's rebuild() hook: it recreates
     // this shard's estimator with the exact options used here, so a revived
@@ -112,8 +677,8 @@ ShardedEstimator::make_payloads(const Config& config) {
       const std::uint64_t share =
           std::max<std::uint64_t>(config.max_stack_bytes / shard_n, 1);
       const std::uint64_t journal_bytes =
-          config.failure_mode == ShardFailureMode::kReplay
-              ? static_cast<std::uint64_t>(config.journal_records) *
+          config.fanout.failure_mode == ShardFailureMode::kReplay
+              ? static_cast<std::uint64_t>(config.fanout.journal_records) *
                     sizeof(Request)
               : 0;
       payload->budget_bytes = share > journal_bytes ? share - journal_bytes : 1;
@@ -123,21 +688,8 @@ ShardedEstimator::make_payloads(const Config& config) {
   return payloads;
 }
 
-typename ShardFanout<ShardedEstimator::ShardPayload>::Config
-ShardedEstimator::fanout_config(const Config& config) {
-  typename ShardFanout<ShardPayload>::Config cfg;
-  cfg.threads = config.threads;
-  cfg.queue_capacity = config.queue_capacity;
-  cfg.failure_mode = config.failure_mode;
-  cfg.journal_records = config.journal_records;
-  cfg.snapshot_stride = config.snapshot_stride;
-  cfg.retry = config.retry;
-  cfg.before_access_hook = config.before_access_hook;
-  return cfg;
-}
-
 ShardedEstimator::ShardedEstimator(const Config& config)
-    : config_(config), fanout_(make_payloads(config), fanout_config(config)) {
+    : fanout_(make_payloads(config), config.fanout) {
   configured_rate_ =
       fanout_.payload(0).estimator->snapshot().sampling_rate;
 }

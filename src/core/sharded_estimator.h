@@ -1,27 +1,21 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/estimator.h"
 #include "obs/heartbeat.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "trace/request.h"
-#include "util/faultpoint.h"
-#include "util/parallel.h"
 #include "util/retry.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
 
 namespace krr {
+
+class ThreadPool;
 
 /// How a sharded pipeline reacts when a shard worker throws mid-run.
 enum class ShardFailureMode {
@@ -59,9 +53,13 @@ inline const char* recovery_path_name(std::uint64_t resurrected,
   return resurrected != 0 ? "replayed" : "rescaled";
 }
 
-/// The model-agnostic sharded fan-out pipeline, lifted out of
-/// ShardedKrrProfiler so any model can run behind it: the caller (the
-/// trace-reader thread) is the single producer, routing records to
+/// One shard's model state: a registry estimator plus the bookkeeping the
+/// fan-out needs to govern and resurrect it (defined in
+/// sharded_estimator.cpp, the only place that touches its insides).
+struct ShardPayload;
+
+/// The sharded fan-out pipeline behind every `*_sharded` model: the caller
+/// (the trace-reader thread) is the single producer, routing records to
 /// per-shard bounded SPSC queues; min(threads, shards) persistent workers
 /// each own a fixed subset of shards (shard s belongs to worker s % T) and
 /// drain them in stream order. One queue therefore has exactly one
@@ -70,21 +68,11 @@ inline const char* recovery_path_name(std::uint64_t resurrected,
 /// the payloads: each shard consumes its records in stream order whatever
 /// thread owns it.
 ///
-/// `Payload` is the per-shard model state and must provide:
-///   void access(const Request& req);            // consume one record
-///   obs::HeartbeatSnapshot live_state() const;  // gauges for heartbeats
-/// and, for kReplay recovery (exercised only when that mode is configured):
-///   Status save_state(std::string* out) const;  // mini-checkpoint
-///   Status load_state(const std::string&);      // restore a checkpoint
-///   void rebuild();                             // reset to a fresh payload
-///
 /// The fan-out owns routing, backpressure, failure handling (strict /
-/// best-effort with dead-shard bit-bucketing), live-gauge publication, and
-/// the sharded.* metrics/trace events; what a "shard" is — a full
-/// KrrProfiler, a registry estimator, anything — is the wrapper's business,
-/// as is computing the shard index (route() takes it, so the hash stays a
-/// pure function of the key in exactly one place per wrapper).
-template <typename Payload>
+/// best-effort with dead-shard bit-bucketing / replay resurrection),
+/// live-gauge publication, and the sharded.* metrics/trace events. The
+/// caller computes the shard index (route() takes it, so the hash stays a
+/// pure function of the key in exactly one place).
 class ShardFanout {
  public:
   struct Config {
@@ -101,7 +89,7 @@ class ShardFanout {
     /// resurrection can bridge at most J records between the last
     /// mini-checkpoint and the failure; 0 disables journaling (every
     /// failure falls straight back to drop-and-rescale). ~16 B/record, and
-    /// the wrappers charge the footprint against the shard's memory budget.
+    /// the footprint is charged against the shard's memory budget.
     std::size_t journal_records = 16384;
     /// kReplay only: payload accesses between per-shard mini-checkpoints.
     /// 0 picks max(journal_records / 2, 1), which guarantees the journal
@@ -117,38 +105,12 @@ class ShardFanout {
     std::function<void(std::uint32_t shard, const Request&)> before_access_hook;
   };
 
-  ShardFanout(std::vector<std::unique_ptr<Payload>> payloads, Config config)
-      : config_(std::move(config)) {
-    if (config_.failure_mode != ShardFailureMode::kReplay) {
-      config_.journal_records = 0;
-    } else if (config_.snapshot_stride == 0) {
-      config_.snapshot_stride =
-          std::max<std::uint64_t>(config_.journal_records / 2, 1);
-    }
-    shards_.reserve(payloads.size());
-    for (auto& payload : payloads) {
-      shards_.push_back(std::make_unique<Shard>(
-          std::move(payload), config_.queue_capacity, config_.journal_records));
-      shards_.back()->publish_live();
-    }
-    if (config_.threads > 1) {
-      worker_count_ = std::min<unsigned>(
-          config_.threads, static_cast<unsigned>(shards_.size()));
-      pool_ = std::make_unique<ThreadPool>(worker_count_);
-      for (unsigned t = 0; t < worker_count_; ++t) {
-        pool_->submit([this, t] { drain_loop(t); });
-      }
-    }
-  }
+  ShardFanout(std::vector<std::unique_ptr<ShardPayload>> payloads,
+              Config config);
 
   /// Blocks until workers drained (errors are swallowed here — call
   /// finish() first to observe them).
-  ~ShardFanout() {
-    done_.store(true, std::memory_order_release);
-    // ThreadPool's destructor joins after the drain tasks exit; worker
-    // exceptions that finish() never observed die with the pool.
-    pool_.reset();
-  }
+  ~ShardFanout();
 
   ShardFanout(const ShardFanout&) = delete;
   ShardFanout& operator=(const ShardFanout&) = delete;
@@ -157,96 +119,7 @@ class ShardFanout {
   /// this enqueues (briefly yielding when the shard's ring is full —
   /// backpressure, counted as producer stall time); inline mode consumes
   /// synchronously. Single-producer: one thread at a time may call this.
-  void route(std::uint32_t index, const Request& req) {
-    ++processed_;
-    Shard& shard = *shards_[index];
-    if constexpr (obs::kHotPathInstrumentation) {
-      if (metrics_ != nullptr) {
-        metrics_->sharded.enqueued->inc();
-        if ((processed_ & 1023u) == 0) {
-          metrics_->sharded.queue_depth->record(shard.queue.size_approx());
-        }
-      }
-    }
-    if (shard.dead.load(std::memory_order_acquire)) {
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (faults::should_fire(faults::kQueuePush, index)) {
-      // An injected push fault. Strict mode treats it like any producer
-      // failure (the exception aborts the run); recovering modes lose just
-      // this record — it never reaches a queue, so there is nothing for
-      // replay to bridge — and count it as dropped.
-      if (config_.failure_mode == ShardFailureMode::kStrict) {
-        throw faults::FaultInjectedError("injected fault at queue push, shard " +
-                                         std::to_string(index));
-      }
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
-      if (tracer_ != nullptr) {
-        tracer_->instant("sharded.queue_fault", "sharded", 0,
-                         {{"shard", static_cast<double>(index)}});
-      }
-      return;
-    }
-    if (worker_count_ == 0) {
-      // Inline mode: consume synchronously (strict failures propagate to
-      // the caller, recovering modes dispose of the record like a worker
-      // would).
-      if (!consume_record(shard, index, req)) {
-        dropped_records_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    if (shard.queue.try_push(req)) {
-      ++shard.routed;
-      return;
-    }
-    // Backpressure: the shard's worker is behind. Back off (spin, then
-    // yield, then bounded sleeps) rather than block on a condvar — stalls
-    // are usually transient (a worker mid-batch), but a persistently slow
-    // shard must not pin the producer core.
-    if constexpr (obs::kHotPathInstrumentation) {
-      if (metrics_ != nullptr) metrics_->sharded.producer_stalls->inc();
-    }
-    const std::uint64_t stall_start_ns =
-        tracer_ != nullptr ? tracer_->now_ns() : 0;
-    const auto trace_stall = [&] {
-      if (tracer_ != nullptr) {
-        tracer_->complete("sharded.queue_stall", "sharded", 0, stall_start_ns,
-                          tracer_->now_ns() - stall_start_ns,
-                          {{"shard", static_cast<double>(index)}});
-      }
-    };
-    Stopwatch stall;
-    Backoff backoff;
-    for (;;) {
-      if (failed_.load(std::memory_order_acquire)) {
-        // A worker died; its queues will never drain. Drop the record —
-        // the run is poisoned and finish() will rethrow the worker's error.
-        stall_seconds_ += stall.seconds();
-        trace_stall();
-        return;
-      }
-      if (shard.dead.load(std::memory_order_acquire)) {
-        // Best-effort: this shard just died under us; stop waiting on it.
-        dropped_records_.fetch_add(1, std::memory_order_relaxed);
-        stall_seconds_ += stall.seconds();
-        trace_stall();
-        return;
-      }
-      if (backoff.pause()) {
-        if constexpr (obs::kHotPathInstrumentation) {
-          if (metrics_ != nullptr) {
-            metrics_->sharded.backpressure_sleeps->inc();
-          }
-        }
-      }
-      if (shard.queue.try_push(req)) break;
-    }
-    ++shard.routed;
-    stall_seconds_ += stall.seconds();
-    trace_stall();
-  }
+  void route(std::uint32_t index, const Request& req);
 
   /// Producer side: blocks until every record routed so far has been
   /// consumed by its shard's worker (applied to the payload, or bit-bucketed
@@ -257,26 +130,7 @@ class ShardFanout {
   /// after a successful quiesce is race-free until the next route(). No-op
   /// in inline mode; errors out instead of spinning forever when a strict-
   /// mode worker has died (its queues will never drain).
-  Status quiesce() {
-    if (worker_count_ == 0) return Status::ok();
-    Backoff backoff;
-    for (;;) {
-      if (failed_.load(std::memory_order_acquire)) {
-        return internal_error(
-            "cannot quiesce shards: a worker failed; finish() will rethrow "
-            "its error");
-      }
-      bool drained = true;
-      for (const auto& shard : shards_) {
-        if (shard->consumed.load(std::memory_order_acquire) != shard->routed) {
-          drained = false;
-          break;
-        }
-      }
-      if (drained) return Status::ok();
-      backoff.pause();
-    }
-  }
+  Status quiesce();
 
   /// Checkpoint restore (producer thread, before the first route()):
   /// re-marks dead shards and restores the producer/drop/failure counters a
@@ -284,50 +138,13 @@ class ShardFanout {
   /// restart at zero — they only ever compare against each other, so a
   /// fresh epoch is as consistent as the saved one.
   void restore_fanout_state(std::uint64_t processed, std::uint64_t dropped,
-                            const std::vector<bool>& dead_flags) {
-    processed_ = processed;
-    dropped_records_.store(dropped, std::memory_order_relaxed);
-    std::uint64_t failed = 0;
-    for (std::size_t s = 0; s < shards_.size() && s < dead_flags.size(); ++s) {
-      if (dead_flags[s]) {
-        shards_[s]->dead.store(true, std::memory_order_release);
-        ++failed;
-      }
-    }
-    shards_failed_.store(failed, std::memory_order_relaxed);
-  }
+                            const std::vector<bool>& dead_flags);
 
   /// Declares end of input, drains every queue, and rethrows the first
   /// exception a shard worker hit (the pipeline shuts down cleanly first;
   /// remaining workers stop at their queues' ends). Throws StatusError when
   /// best-effort recovery lost every shard. Idempotent.
-  void finish() {
-    if (finished_) return;
-    if (worker_count_ != 0) {
-      const std::uint64_t join_start_ns =
-          tracer_ != nullptr ? tracer_->now_ns() : 0;
-      done_.store(true, std::memory_order_release);
-      pool_->wait_idle();  // rethrows the first worker exception (strict)
-      if (tracer_ != nullptr) {
-        tracer_->complete("sharded.drain_join", "sharded", 0, join_start_ns,
-                          tracer_->now_ns() - join_start_ns);
-      }
-    }
-    finished_ = true;
-    if constexpr (obs::kHotPathInstrumentation) {
-      if (metrics_ != nullptr) {
-        metrics_->sharded.stall_seconds->set(stall_seconds_);
-        metrics_->sharded.shard_failures->inc(shards_failed());
-      }
-    }
-    // Best-effort recovery extrapolates from the survivors; with none left
-    // there is nothing to extrapolate from and the run has truly failed.
-    if (shards_failed() >= shards_.size()) {
-      throw StatusError(resource_limit_error(
-          "all " + std::to_string(shards_.size()) +
-          " shards failed; no surviving shard to merge"));
-    }
-  }
+  void finish();
 
   /// Records routed so far (producer-side, exact).
   std::uint64_t processed() const noexcept { return processed_; }
@@ -359,9 +176,7 @@ class ShardFanout {
   }
 
   /// Resurrections of one shard. Post-finish only (consumer-owned counter).
-  std::uint64_t shard_resurrections(std::uint32_t s) const {
-    return shards_.at(s)->resurrections;
-  }
+  std::uint64_t shard_resurrections(std::uint32_t s) const;
 
   std::uint32_t shard_count() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
@@ -370,7 +185,7 @@ class ShardFanout {
   bool finished() const noexcept { return finished_; }
 
   /// True while post-finish-only state (the payloads) must not be touched:
-  /// workers may still be mutating them. Wrappers gate their accessors on
+  /// workers may still be mutating them. Callers gate their accessors on
   /// this so "read a shard mid-threaded-run" is a loud logic_error, not a
   /// data race.
   bool needs_finish() const noexcept {
@@ -379,65 +194,23 @@ class ShardFanout {
 
   /// Shard-local payload, for merges/diagnostics. The caller is responsible
   /// for gating on needs_finish().
-  Payload& payload(std::uint32_t s) { return *shards_.at(s)->payload; }
-  const Payload& payload(std::uint32_t s) const {
-    return *shards_.at(s)->payload;
-  }
+  ShardPayload& payload(std::uint32_t s);
+  const ShardPayload& payload(std::uint32_t s) const;
 
   /// Whether best-effort recovery dropped shard `s`.
-  bool dead(std::uint32_t s) const {
-    return shards_.at(s)->dead.load(std::memory_order_acquire);
-  }
+  bool dead(std::uint32_t s) const;
 
   /// Race-free live progress for heartbeats, readable from the producer
   /// thread mid-run: producer-exact record count plus per-shard gauges the
   /// workers publish batch-wise (so the numbers trail by at most one drain
   /// batch). Gauges are summed across shards; the rate is the minimum
   /// (most degraded shard).
-  obs::HeartbeatSnapshot live_aggregate() const {
-    obs::HeartbeatSnapshot snap;
-    snap.records = processed_;
-    double min_rate = 1.0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Shard& shard = *shards_[s];
-      if (worker_count_ == 0) {
-        // Inline mode: no concurrency, read the payload directly.
-        const obs::HeartbeatSnapshot live = shard.payload->live_state();
-        snap.sampled += live.sampled;
-        snap.stack_depth += live.stack_depth;
-        snap.resident_bytes += live.resident_bytes;
-        snap.degradation_events += live.degradation_events;
-        min_rate = s == 0 ? live.sampling_rate
-                          : std::min(min_rate, live.sampling_rate);
-      } else {
-        snap.sampled += shard.live_sampled.load(std::memory_order_relaxed);
-        snap.stack_depth += shard.live_depth.load(std::memory_order_relaxed);
-        snap.resident_bytes +=
-            shard.live_resident.load(std::memory_order_relaxed);
-        snap.degradation_events +=
-            shard.live_degradations.load(std::memory_order_relaxed);
-        const double rate = shard.live_rate.load(std::memory_order_relaxed);
-        min_rate = s == 0 ? rate : std::min(min_rate, rate);
-      }
-    }
-    snap.sampling_rate = min_rate;
-    return snap;
-  }
+  obs::HeartbeatSnapshot live_aggregate() const;
 
   /// Attaches fan-out instrumentation (sharded.* metrics) and nothing on
   /// the per-shard hot paths (per-record shard metrics would serialize the
   /// workers on shared cache lines).
-  void attach_metrics(obs::PipelineMetrics* metrics) noexcept {
-    if constexpr (obs::kHotPathInstrumentation) {
-      metrics_ = metrics;
-      if (metrics_ != nullptr) {
-        metrics_->sharded.shards->set(static_cast<double>(shards_.size()));
-        metrics_->sharded.threads->set(static_cast<double>(worker_count_));
-      }
-    } else {
-      (void)metrics;
-    }
-  }
+  void attach_metrics(obs::PipelineMetrics* metrics) noexcept;
 
   /// Attaches span/event tracing: lane 0 is the producer, lane s+1 is
   /// shard s (named in the export). Workers emit one drain span per
@@ -445,311 +218,21 @@ class ShardFanout {
   /// shard deaths, and the drain join are traced unconditionally. Call
   /// before the first route(); detached cost is one branch per batch.
   /// Non-owning; the tracer must outlive the fan-out.
-  void attach_tracer(obs::Tracer* tracer) noexcept {
-    tracer_ = tracer;
-    if (tracer_ == nullptr) return;
-    tracer_->set_lane_name(0, "producer");
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      tracer_->set_lane_name(static_cast<std::uint32_t>(s) + 1,
-                             "shard " + std::to_string(s));
-    }
-  }
+  void attach_tracer(obs::Tracer* tracer) noexcept;
 
-  /// The attached tracer (null while detached), for wrappers that emit
-  /// merge/rescale events of their own on lane 0.
+  /// The attached tracer (null while detached), for the merge/rescale
+  /// events the owner emits on lane 0.
   obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
-  /// Records a worker pulls from one shard queue before moving to its next
-  /// owned shard (and before republishing that shard's live gauges). Large
-  /// enough to amortize the gauge stores, small enough that a worker owning
-  /// several shards does not starve any of them.
-  static constexpr int kDrainBatch = 256;
+  struct Shard;  // queue, journal, ledgers and live gauges of one shard
 
-  /// Drain batches between traced drain spans. A span costs two clock
-  /// reads, so with 256-record batches a traced worker reads the clock once
-  /// per ~4096 records — the same stride Heartbeat::tick gates at.
-  static constexpr std::uint64_t kDrainTraceStride = 16;
-
-  struct Shard {
-    Shard(std::unique_ptr<Payload> p, std::size_t queue_capacity,
-          std::size_t journal_capacity)
-        : payload(std::move(p)), queue(queue_capacity) {
-      if (journal_capacity != 0) journal.resize(journal_capacity);
-    }
-
-    std::unique_ptr<Payload> payload;
-    SpscQueue<Request> queue;
-
-    // Replay-recovery state, all consumer-owned (only the worker that owns
-    // this shard — or the producer in inline mode — ever touches it, so no
-    // atomics). `journal` is a ring of the last journal.size() applied
-    // records; `applied` counts records ever applied to the payload;
-    // `snapshot` is the payload's last mini-checkpoint, taken at
-    // `snapshot_applied` applied records. Resurrection = fresh payload +
-    // load(snapshot) + replay journal[snapshot_applied, applied) — possible
-    // exactly while applied - snapshot_applied <= journal.size().
-    std::vector<Request> journal;
-    std::uint64_t applied = 0;
-    std::uint64_t snapshot_applied = 0;
-    std::string snapshot;
-    std::uint64_t resurrections = 0;
-
-    // Best-effort failure mode: set (by the owning worker, or the producer
-    // in inline mode) when this shard's pipeline threw. A dead shard's
-    // queue is drained to the bit bucket and its state is excluded from
-    // merges.
-    std::atomic<bool> dead{false};
-
-    // Worker-owned drain-batch counter gating traced spans (no atomics:
-    // one consumer per shard).
-    std::uint64_t drain_batches = 0;
-
-    // Quiesce ledger. `routed` counts records the producer successfully
-    // enqueued to this shard (plain: single producer, and only the producer
-    // reads it, in quiesce()); `consumed` counts records the worker has
-    // fully disposed of — applied to the payload, bit-bucketed for a dead
-    // shard, or swallowed by a best-effort failure — and is incremented
-    // with release order *after* the disposal so quiesce()'s acquire load
-    // publishes the payload mutations. consumed == routed therefore means
-    // "every record handed to this shard is reflected in its state".
-    std::uint64_t routed = 0;
-    std::atomic<std::uint64_t> consumed{0};
-
-    // Live gauges the owning worker publishes once per drain batch so the
-    // producer thread can heartbeat without touching payload internals.
-    std::atomic<std::uint64_t> live_sampled{0};
-    std::atomic<std::uint64_t> live_depth{0};
-    std::atomic<std::uint64_t> live_resident{0};
-    std::atomic<std::uint64_t> live_degradations{0};
-    std::atomic<double> live_rate{1.0};
-
-    void publish_live() noexcept {
-      const obs::HeartbeatSnapshot live = payload->live_state();
-      live_sampled.store(live.sampled, std::memory_order_relaxed);
-      live_depth.store(live.stack_depth, std::memory_order_relaxed);
-      live_resident.store(live.resident_bytes, std::memory_order_relaxed);
-      live_degradations.store(live.degradation_events,
-                              std::memory_order_relaxed);
-      live_rate.store(live.sampling_rate, std::memory_order_relaxed);
-    }
-  };
-
-  void drain_batch(Shard& shard, std::uint32_t index, bool& did_work) {
-    Request req;
-    int budget = kDrainBatch;
-    if (shard.dead.load(std::memory_order_relaxed)) {
-      // Discard what the producer enqueued before it noticed the death;
-      // the queue must keep draining or the producer's backpressure spin
-      // would wait on a shard that will never consume.
-      while (budget-- > 0 && shard.queue.try_pop(req)) {
-        dropped_records_.fetch_add(1, std::memory_order_relaxed);
-        shard.consumed.fetch_add(1, std::memory_order_release);
-        did_work = true;
-      }
-      return;
-    }
-    // Stride-gated drain spans: one traced batch (two clock reads) every
-    // kDrainTraceStride batches; untraced batches pay one branch.
-    const bool traced =
-        tracer_ != nullptr && (shard.drain_batches++ % kDrainTraceStride) == 0;
-    const std::uint64_t batch_start_ns = traced ? tracer_->now_ns() : 0;
-    int drained = 0;
-    while (budget-- > 0 && shard.queue.try_pop(req)) {
-      // Strict-mode failures throw through to drain_loop/the pool; a
-      // recovering mode that could not save the shard returns false — the
-      // record that killed it is disposed of (swallowed), so it still
-      // counts as consumed.
-      const bool ok = consume_record(shard, index, req);
-      shard.consumed.fetch_add(1, std::memory_order_release);
-      if (!ok) {
-        dropped_records_.fetch_add(1, std::memory_order_relaxed);
-        did_work = true;
-        return;
-      }
-      ++drained;
-    }
-    if (drained > 0) {
-      shard.publish_live();
-      did_work = true;
-      if (traced) {
-        tracer_->complete(
-            "sharded.drain", "sharded", index + 1, batch_start_ns,
-            tracer_->now_ns() - batch_start_ns,
-            {{"records", static_cast<double>(drained)},
-             {"depth", static_cast<double>(
-                  shard.live_depth.load(std::memory_order_relaxed))}});
-      }
-    }
-  }
-
-  /// Consumer side: applies one record to a live shard's payload, with the
-  /// fault point, journaling, mini-checkpoints, and failure handling.
-  /// Returns true when the record is reflected in the payload (possibly
-  /// after a resurrection), false when the shard died under it. Strict
-  /// mode throws instead of dying.
-  bool consume_record(Shard& shard, std::uint32_t index, const Request& req) {
-    try {
-      if (config_.before_access_hook) config_.before_access_hook(index, req);
-      faults::maybe_fire(faults::kShardWorker, index);
-      shard.payload->access(req);
-    } catch (...) {
-      if (config_.failure_mode == ShardFailureMode::kStrict) throw;
-      if (config_.failure_mode == ShardFailureMode::kReplay &&
-          try_resurrect(shard, index, req)) {
-        return true;
-      }
-      kill_shard(shard, index);
-      return false;
-    }
-    journal_append(shard, req);
-    maybe_snapshot(shard, index);
-    return true;
-  }
-
-  void kill_shard(Shard& shard, std::uint32_t index) {
-    shard.dead.store(true, std::memory_order_release);
-    shards_failed_.fetch_add(1, std::memory_order_relaxed);
-    if (tracer_ != nullptr) {
-      tracer_->instant("sharded.shard_failed", "sharded", index + 1,
-                       {{"shard", static_cast<double>(index)}});
-    }
-  }
-
-  void journal_append(Shard& shard, const Request& req) {
-    if (!shard.journal.empty()) {
-      shard.journal[shard.applied % shard.journal.size()] = req;
-    }
-    ++shard.applied;
-  }
-
-  /// Mini-checkpoint cadence: every snapshot_stride applied records the
-  /// owning worker saves the payload into shard-local storage. A failed
-  /// save keeps the previous snapshot — the shard stays recoverable up to
-  /// the old snapshot's journal window and the failure is traced, not
-  /// fatal.
-  void maybe_snapshot(Shard& shard, std::uint32_t index) {
-    if (config_.journal_records == 0 ||
-        shard.applied - shard.snapshot_applied < config_.snapshot_stride) {
-      return;
-    }
-    std::string state;
-    Status status = Status::ok();
-    try {
-      status = shard.payload->save_state(&state);
-    } catch (...) {
-      status = internal_error("shard snapshot threw");
-    }
-    if (status.is_ok()) {
-      shard.snapshot = std::move(state);
-      shard.snapshot_applied = shard.applied;
-    } else if (tracer_ != nullptr) {
-      tracer_->instant("sharded.shard_snapshot_failed", "sharded", index + 1,
-                       {{"shard", static_cast<double>(index)}});
-    }
-  }
-
-  /// Resurrects a shard whose payload just threw on `req`: fresh payload,
-  /// reload the last mini-checkpoint, replay the journal tail, re-apply the
-  /// failing record — retried under the configured RetryPolicy, every
-  /// attempt traced as a sharded.shard_resurrect span. Returns false (and
-  /// leaves the caller to fall back to drop-and-rescale) when the journal
-  /// cannot bridge back to the snapshot or every attempt failed. The replay
-  /// calls the payload directly — no hook, no fault point — so a trigger
-  /// armed on this shard does not re-kill the recovery itself; the hit
-  /// counter simply resumes with the next fresh record.
-  bool try_resurrect(Shard& shard, std::uint32_t index, const Request& req) {
-    const std::uint64_t pending = shard.applied - shard.snapshot_applied;
-    if (shard.journal.empty() || pending > shard.journal.size()) {
-      if (tracer_ != nullptr) {
-        tracer_->instant("sharded.replay_window_exceeded", "sharded", index + 1,
-                         {{"shard", static_cast<double>(index)},
-                          {"pending", static_cast<double>(pending)},
-                          {"journal", static_cast<double>(shard.journal.size())}});
-      }
-      return false;
-    }
-    for (unsigned attempt = 1; attempt <= config_.retry.max_attempts;
-         ++attempt) {
-      if (attempt > 1) config_.retry.sleep(attempt - 1);
-      const std::uint64_t start_ns = tracer_ != nullptr ? tracer_->now_ns() : 0;
-      bool ok = false;
-      try {
-        shard.payload->rebuild();
-        ok = shard.snapshot.empty() ||
-             shard.payload->load_state(shard.snapshot).is_ok();
-        if (ok) {
-          for (std::uint64_t i = shard.snapshot_applied; i < shard.applied;
-               ++i) {
-            shard.payload->access(shard.journal[i % shard.journal.size()]);
-          }
-          shard.payload->access(req);  // the record that killed the worker
-        }
-      } catch (...) {
-        ok = false;
-      }
-      if (tracer_ != nullptr) {
-        tracer_->complete("sharded.shard_resurrect", "sharded", index + 1,
-                          start_ns, tracer_->now_ns() - start_ns,
-                          {{"shard", static_cast<double>(index)},
-                           {"attempt", static_cast<double>(attempt)},
-                           {"replayed", static_cast<double>(pending)},
-                           {"ok", ok ? 1.0 : 0.0}});
-      }
-      if (ok) {
-        journal_append(shard, req);
-        ++shard.resurrections;
-        resurrections_.fetch_add(1, std::memory_order_relaxed);
-        replayed_records_.fetch_add(pending, std::memory_order_relaxed);
-        if constexpr (obs::kHotPathInstrumentation) {
-          if (metrics_ != nullptr) {
-            metrics_->sharded.resurrections->inc();
-            metrics_->sharded.replayed_records->inc(pending);
-          }
-        }
-        shard.publish_live();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void drain_loop(unsigned worker_index) {
-    // Static shard ownership (shard s -> worker s % T) keeps every queue
-    // strictly single-consumer.
-    std::vector<std::uint32_t> owned;
-    for (std::uint32_t s = worker_index; s < shards_.size();
-         s += worker_count_) {
-      owned.push_back(s);
-    }
-    try {
-      for (;;) {
-        bool did_work = false;
-        for (std::uint32_t s : owned) drain_batch(*shards_[s], s, did_work);
-        if (did_work) continue;
-        if (done_.load(std::memory_order_acquire)) {
-          // done_ was released after the producer's last push, so an empty
-          // check after this acquire is conclusive.
-          bool all_empty = true;
-          for (std::uint32_t s : owned) {
-            if (!shards_[s]->queue.empty_approx()) {
-              all_empty = false;
-              break;
-            }
-          }
-          if (all_empty) return;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    } catch (...) {
-      // Flag first so the producer's stall loop cannot wait forever on
-      // this worker's queues, then let the pool capture the exception for
-      // finish() to rethrow.
-      failed_.store(true, std::memory_order_release);
-      throw;
-    }
-  }
+  void drain_batch(Shard& shard, std::uint32_t index, bool& did_work);
+  bool consume_record(Shard& shard, std::uint32_t index, const Request& req);
+  void kill_shard(Shard& shard, std::uint32_t index);
+  void maybe_snapshot(Shard& shard, std::uint32_t index);
+  bool try_resurrect(Shard& shard, std::uint32_t index, const Request& req);
+  void drain_loop(unsigned worker_index);
 
   Config config_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -778,12 +261,13 @@ class ShardFanout {
 ///
 /// Per-shard instances are created through the registry factory with
 /// shard-aware option injection: `shard_count=S` (models rescale distances
-/// or reuse times back to full-stream units), `seed = base_seed + s`
-/// (independent RNG streams), and for fixed-size models a split capacity.
-/// A global `max_stack_bytes` budget is divided evenly across shards and
-/// enforced from the consuming thread (space check + degrade() every 4096
-/// per-shard accesses) — the RunGovernor's external loop cannot reach
-/// inside a threaded pipeline, the same contract krr_sharded has.
+/// or reuse times back to full-stream units), `seed = base_seed + s` with
+/// the base seed defaulting to 1 (independent RNG streams; S=1 keeps the
+/// serial model's default seed), and for fixed-size models a split
+/// capacity. A global `max_stack_bytes` budget is divided evenly across
+/// shards and enforced from the consuming thread (space check + at most 64
+/// degrade() steps every 4096 per-shard accesses) — the RunGovernor's
+/// external loop cannot reach inside a threaded pipeline.
 ///
 /// Checkpointing composes: a snapshot first quiesces the fan-out (the
 /// producer waits until every routed record is reflected in its shard's
@@ -805,25 +289,16 @@ class ShardedEstimator final : public MrcEstimator {
     /// threads/shards/queue_capacity/failure_mode are stripped;
     /// shard_count/seed are overwritten per shard).
     EstimatorOptions base_options;
-    /// Number of hash-disjoint keyspace partitions S (>= 1).
+    /// Number of hash-disjoint keyspace partitions S (>= 1). With S == 1
+    /// and inline fan-out the pipeline is bit-identical to the serial model.
     std::uint32_t shards = 1;
-    /// Worker threads consuming shard queues; <= 1 runs inline. With
-    /// shards == 1 the pipeline is bit-identical to the serial model.
-    unsigned threads = 1;
-    std::size_t queue_capacity = 1u << 16;
-    ShardFailureMode failure_mode = ShardFailureMode::kStrict;
-    /// kReplay only: per-shard replay-journal capacity / mini-checkpoint
-    /// cadence and the resurrection retry policy; see ShardFanout::Config.
-    /// The journal footprint (journal_records * sizeof(Request) per shard)
-    /// is charged against each shard's max_stack_bytes share so the global
-    /// ceiling still bounds the whole pipeline.
-    std::size_t journal_records = 16384;
-    std::uint64_t snapshot_stride = 0;
-    RetryPolicy retry;
     /// Global memory budget (0 = ungoverned), split evenly across shards.
+    /// In kReplay mode each share is further reduced by the journal
+    /// footprint (journal_records * sizeof(Request)), so the global ceiling
+    /// still bounds the whole pipeline.
     std::uint64_t max_stack_bytes = 0;
-    /// Test seam forwarded to ShardFanout::Config::before_access_hook.
-    std::function<void(std::uint32_t shard, const Request&)> before_access_hook;
+    /// Threads, queues, failure policy, replay journal and test hook.
+    ShardFanout::Config fanout;
   };
 
   /// Builds the per-shard instances through EstimatorRegistry::instance().
@@ -884,36 +359,14 @@ class ShardedEstimator final : public MrcEstimator {
   const MrcEstimator& shard(std::uint32_t s) const;
 
  private:
-  struct ShardPayload {
-    std::unique_ptr<MrcEstimator> estimator;
-    /// Recreates a fresh instance with this shard's exact options — the
-    /// resurrection path's rebuild() hook.
-    std::function<std::unique_ptr<MrcEstimator>()> factory;
-    std::uint64_t budget_bytes = 0;  // per-shard share; 0 = ungoverned
-    std::uint64_t accesses = 0;
-
-    void access(const Request& req);
-    obs::HeartbeatSnapshot live_state() const { return estimator->snapshot(); }
-
-    /// Replay-recovery hooks (ShardFanout kReplay contract): the
-    /// mini-checkpoint is the access counter (the budget-check stride
-    /// position) followed by the inner estimator's own save_state bytes.
-    Status save_state(std::string* out) const;
-    Status load_state(const std::string& blob);
-    void rebuild();
-  };
-
   /// Per-shard end-of-run numbers cached before the merge mutates the
   /// survivor instances (absorb() folds shards together in place).
   struct ShardStats {
     obs::HeartbeatSnapshot snapshot;
-    RunReport report;
     bool dead = false;
   };
 
   static std::vector<std::unique_ptr<ShardPayload>> make_payloads(
-      const Config& config);
-  static typename ShardFanout<ShardPayload>::Config fanout_config(
       const Config& config);
 
   /// Snapshots every shard's pre-merge numbers (absorb() mutates the
@@ -926,8 +379,7 @@ class ShardedEstimator final : public MrcEstimator {
   void ensure_merged() const;
   void require_finished(const char* what) const;
 
-  Config config_;
-  mutable ShardFanout<ShardPayload> fanout_;
+  mutable ShardFanout fanout_;
   mutable bool merged_ = false;
   mutable std::uint32_t merge_base_ = 0;          // first surviving shard
   mutable std::vector<ShardStats> shard_stats_;   // filled by finish()

@@ -32,7 +32,7 @@
 #include "core/governor.h"
 #include "core/krr_stack.h"
 #include "core/profiler.h"
-#include "core/sharded_profiler.h"
+#include "core/sharded_estimator.h"
 #include "core/size_tracker.h"
 #include "core/spatial_filter.h"
 #include "core/swap_sampler.h"

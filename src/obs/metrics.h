@@ -160,10 +160,10 @@ struct StackMetrics {
 };
 
 /// The sharded-pipeline fan-out slice: what the producer/merge side of a
-/// ShardedKrrProfiler run can observe. Per-shard model metrics (stack
-/// depth, final rate, degradations) are exported as named gauges via
-/// ShardedKrrProfiler::export_shard_gauges, not through fixed pointers,
-/// because the shard count is a runtime choice.
+/// sharded run (ShardFanout behind ShardedEstimator) can observe. Per-shard
+/// model metrics (stack depth, final rate, degradations) are exported as
+/// named gauges via ShardedEstimator::export_gauges, not through fixed
+/// pointers, because the shard count is a runtime choice.
 struct ShardedMetrics {
   Counter* enqueued = nullptr;        ///< sharded.enqueued — records fanned out
   Counter* producer_stalls = nullptr; ///< sharded.producer_stalls — full-queue waits
@@ -213,7 +213,7 @@ struct PipelineMetrics {
   /// KrrStack update internals (handed to KrrStack::attach_metrics).
   StackMetrics stack;
 
-  /// Sharded fan-out internals (handed to ShardedKrrProfiler).
+  /// Sharded fan-out internals (handed to ShardFanout).
   ShardedMetrics sharded;
 
   /// Registry-wide per-model gauges (filled by refresh_metrics_gauges).

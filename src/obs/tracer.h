@@ -53,8 +53,8 @@ struct TraceEvent {
 ///  - Rings drop-newest on overflow and count the drops; a trace that lost
 ///    events says so in the export instead of blocking the pipeline.
 ///  - Clock reads are the caller's problem by design: per-record code paths
-///    stride-gate them exactly like Heartbeat::tick (see
-///    ShardedKrrProfiler's drain-batch gating), so a traced run reads the
+///    stride-gate them exactly like Heartbeat::tick (see ShardFanout's
+///    drain-batch gating), so a traced run reads the
 ///    clock thousands of times per second, not millions.
 ///  - Draining happens once, single-threaded, in to_json() after the
 ///    recording threads have quiesced (finish()/join has happened) — the

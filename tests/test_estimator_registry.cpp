@@ -275,8 +275,8 @@ TEST(EstimatorRegistry, CapabilityFlagsMatchTheModelFamilies) {
   // AET's reuse-time histogram is built from a spatially thinned stream, so
   // it composes with hash sharding just like SHARDS does.
   EXPECT_TRUE(registry.find("aet")->caps.spatial_sampling);
-  for (const char* name :
-       {"shards_sharded", "shards_fixed_sharded", "aet_sharded"}) {
+  for (const char* name : {"krr_sharded", "shards_sharded",
+                           "shards_fixed_sharded", "aet_sharded"}) {
     const EstimatorInfo* info = registry.find(name);
     ASSERT_NE(info, nullptr) << name;
     EXPECT_TRUE(info->caps.sharded) << name;
@@ -285,9 +285,9 @@ TEST(EstimatorRegistry, CapabilityFlagsMatchTheModelFamilies) {
     // Composite quiesce-then-snapshot checkpointing (DESIGN.md §13).
     EXPECT_TRUE(info->caps.checkpoint) << name;
   }
-  // Every serial sampling baseline serializes through the tagged-section
-  // codec; the exact-stack oracles and the KRR-specific sharded/windowed
-  // wrappers stay checkpoint-free.
+  // Every serial sampling model serializes through the tagged-section
+  // codec; the exact-stack oracles and the windowed KRR wrapper stay
+  // checkpoint-free.
   for (const char* name :
        {"krr", "shards", "shards_fixed", "aet", "statstack", "hotl"}) {
     const EstimatorInfo* info = registry.find(name);
@@ -295,8 +295,7 @@ TEST(EstimatorRegistry, CapabilityFlagsMatchTheModelFamilies) {
     EXPECT_TRUE(info->caps.checkpoint) << name;
   }
   for (const char* name :
-       {"lru_stack", "naive_stack", "priority_stack", "krr_sharded",
-        "krr_windowed"}) {
+       {"lru_stack", "naive_stack", "priority_stack", "krr_windowed"}) {
     const EstimatorInfo* info = registry.find(name);
     ASSERT_NE(info, nullptr) << name;
     EXPECT_FALSE(info->caps.checkpoint) << name;

@@ -97,7 +97,7 @@ TEST(LifecycleConformance, UngovernedModelsExistAndIncludeLruStack) {
 // growing. Sharded pipelines (caps.sharded) are the documented exception —
 // their producer-side hooks are inert (a worker races the caller) and
 // governance runs inside the shards instead, which the dedicated tests
-// below pin for both krr_sharded and the generic runner.
+// below pin for krr_sharded and shards_sharded.
 
 class GovernedDegrade : public ::testing::TestWithParam<std::string> {};
 
@@ -153,9 +153,9 @@ TEST(LifecycleConformance, ShardedGovernsInternally) {
 }
 
 TEST(LifecycleConformance, GenericShardedGovernsInternally) {
-  // The generic runner inherits the same contract as krr_sharded: inert
-  // external hooks, with the global budget split evenly and enforced from
-  // the consuming threads (space check + degrade every 4096 accesses).
+  // The same runner contract on a non-KRR base: inert external hooks, with
+  // the global budget split evenly and enforced from the consuming threads
+  // (space check + degrade every 4096 accesses).
   EstimatorOptions options;
   options.set("max_stack_bytes", "32768");
   options.set("shards", "2");
@@ -474,6 +474,34 @@ TEST(Checkpoint, GarbagePayloadIsRejectedNotCrashed) {
   EXPECT_FALSE(est->load_state(payload.substr(0, payload.size() / 2)).is_ok());
 }
 
+TEST(Checkpoint, LegacyFlatKrrPayloadIsRejected) {
+  // The krr payload before the tagged-section codec: counters, filter
+  // epoch, histogram and stack concatenated with no framing. Its first
+  // word is the processed count, which the stream reader takes for an
+  // unknown format version — a classified refusal, not a misread state.
+  std::string legacy;
+  ckpt::append_u64(legacy, 4000);      // processed
+  ckpt::append_u64(legacy, 4000);      // sampled
+  ckpt::append_u64(legacy, 0);         // degradation events
+  ckpt::append_u64(legacy, 0);         // processed at the last rate change
+  ckpt::append_double(legacy, 1.0);    // configured rate
+  ckpt::append_double(legacy, 0.0);    // expected-sampled base
+  ckpt::append_u64(legacy, 1u << 24);  // filter modulus
+  ckpt::append_u64(legacy, 1u << 24);  // filter threshold
+  ckpt::append_u64(legacy, 0);         // filter halvings
+  ckpt::append_u64(legacy, 0);         // histogram bins
+  ckpt::append_double(legacy, 0.0);    // infinite weight
+  ckpt::append_double(legacy, 0.0);    // total weight
+  ckpt::append_u64(legacy, 0);         // stack depth
+  for (std::uint64_t word = 1; word <= 5; ++word) {
+    ckpt::append_u64(legacy, word);    // swap count, then the PRNG state
+  }
+  auto est = make("krr");
+  const Status loaded = est->load_state(legacy);
+  ASSERT_FALSE(loaded.is_ok());
+  EXPECT_EQ(loaded.code(), StatusCode::kUnsupportedVersion);
+}
+
 TEST(Checkpoint, OnlyCheckpointCapableModelsSaveState) {
   for (const auto& info : EstimatorRegistry::instance().list()) {
     auto est = make(info.name);
@@ -610,11 +638,6 @@ TEST_P(CheckpointBattery, TruncatedPayloadIsRejected) {
 }
 
 TEST_P(CheckpointBattery, CorruptSectionIsRejected) {
-  if (GetParam() == "krr") {
-    GTEST_SKIP() << "krr keeps its legacy flat payload (no per-section CRC); "
-                    "corruption there is caught by the container checksum "
-                    "(Checkpoint.CorruptionIsDetected)";
-  }
   const auto trace = zipf_trace(4000);
   const EstimatorOptions options = battery_options(GetParam());
   auto donor = make(GetParam(), options);

@@ -32,6 +32,11 @@ struct AccuracyCase {
   double tolerance;  // MAE bound
 };
 
+// Prints a case by name. gtest's fallback dumps the object's bytes, which
+// include the std::string's heap pointer, so the printed test IDs would
+// shift with every change to the test binary's memory layout.
+void PrintTo(const AccuracyCase& c, std::ostream* os) { *os << c.name; }
+
 class KrrAccuracy : public ::testing::TestWithParam<AccuracyCase> {};
 
 TEST_P(KrrAccuracy, MaeAgainstSimulatedKLruIsSmall) {
@@ -204,6 +209,34 @@ TEST(KrrProfiler, StrategiesYieldMatchingMrcs) {
   cfg.seed = 99;
   const auto top_down = krr_predict(trace, cfg);
   EXPECT_LT(backward.mae(top_down, sizes), 0.01);
+}
+
+TEST(KrrProfiler, AbsorbSumsEachShardsAdjustedHistogram) {
+  // The sharded merge: each operand's SHARDS-adj is applied against its
+  // own expectation, then the histograms add; mrc() must not adjust again.
+  ZipfianGenerator gen(20000, 0.9, 5, /*scrambled=*/true);
+  const auto trace = materialize(gen, 60000);
+  KrrProfilerConfig cfg;
+  cfg.sampling_rate = 0.1;
+  cfg.shard_count = 2;
+  KrrProfiler a(cfg), b(cfg);
+  for (const Request& r : trace) (r.key % 2 == 0 ? a : b).access(r);
+  DistanceHistogram expected = a.adjusted_histogram();
+  expected.merge(b.adjusted_histogram());
+  a.absorb(b);
+  const auto same = [](const MissRatioCurve& x, const MissRatioCurve& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x.points()[i].size, y.points()[i].size);
+      EXPECT_EQ(x.points()[i].miss_ratio, y.points()[i].miss_ratio);
+    }
+  };
+  same(a.mrc(), expected.to_mrc());
+  a.scale_mass(1.5);
+  expected.scale(1.5);
+  same(a.mrc(), expected.to_mrc());
+  std::string blob;
+  EXPECT_FALSE(a.save_state(&blob).is_ok());
 }
 
 TEST(KrrProfiler, ModelKReflectsCorrectionFlag) {

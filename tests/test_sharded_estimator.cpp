@@ -1,6 +1,6 @@
-// Generic sharded runner conformance: any registry model declaring
-// spatial_sampling runs behind the same ShardFanout pipeline the KRR
-// profiler uses, and the contract carries over — results depend only on
+// Sharded runner conformance: every registry model declaring
+// spatial_sampling (krr included) runs behind the one ShardFanout
+// pipeline, and the contract carries over — results depend only on
 // (options, trace), never on the thread count; the merged curve tracks the
 // serial model statistically; shard failures propagate (strict) or degrade
 // the run (best-effort with survivor rescale); memory budgets are enforced
@@ -29,9 +29,9 @@
 namespace krr {
 namespace {
 
-// The spatial_sampling models the generic runner wraps, paired with their
+// The spatial_sampling models the runner wraps, paired with their
 // registry-level sharded adapters.
-const std::string kBaseModels[] = {"shards", "shards_fixed", "aet"};
+const std::string kBaseModels[] = {"krr", "shards", "shards_fixed", "aet"};
 
 std::string sharded_name(const std::string& base) { return base + "_sharded"; }
 
@@ -330,6 +330,9 @@ TEST(ShardRecovery, QueuePushFaultIsFatalUnderStrict) {
         est->finish();
       },
       faults::FaultInjectedError);
+  // The producer threw before finish(), so the workers are still polling
+  // the fault plan; join them before disarming it.
+  est.reset();
   faults::disarm();
 }
 
@@ -369,7 +372,7 @@ TEST(ShardedEstimator, ShardUnawareBaseModelIsRejectedAtConstruction) {
   ShardedEstimator::Config cfg;
   cfg.base_model = "lru_stack";
   cfg.shards = 2;
-  cfg.threads = 1;
+  cfg.fanout.threads = 1;
   EXPECT_THROW(ShardedEstimator est(cfg), std::invalid_argument);
 }
 
@@ -378,10 +381,11 @@ TEST(ShardedEstimator, StrictWorkerExceptionPropagatesFromFinish) {
   ShardedEstimator::Config cfg;
   cfg.base_model = "shards";
   cfg.shards = 4;
-  cfg.threads = 2;
-  cfg.queue_capacity = 256;  // small ring so the producer hits backpressure
+  cfg.fanout.threads = 2;
+  cfg.fanout.queue_capacity = 256;  // small ring: the producer backs up
   std::atomic<std::uint64_t> seen{0};
-  cfg.before_access_hook = [&seen](std::uint32_t shard, const Request&) {
+  cfg.fanout.before_access_hook = [&seen](std::uint32_t shard,
+                                          const Request&) {
     if (shard == 1 && seen.fetch_add(1) == 100) {
       throw std::runtime_error("shard worker fault injection");
     }
@@ -398,11 +402,12 @@ TEST(ShardedEstimator, BestEffortDropsFailedShardAndRescalesSurvivors) {
   ShardedEstimator::Config cfg;
   cfg.base_model = "shards";
   cfg.shards = 4;
-  cfg.threads = 2;
-  cfg.queue_capacity = 256;
-  cfg.failure_mode = ShardFailureMode::kBestEffort;
+  cfg.fanout.threads = 2;
+  cfg.fanout.queue_capacity = 256;
+  cfg.fanout.failure_mode = ShardFailureMode::kBestEffort;
   std::atomic<std::uint64_t> seen{0};
-  cfg.before_access_hook = [&seen](std::uint32_t shard, const Request&) {
+  cfg.fanout.before_access_hook = [&seen](std::uint32_t shard,
+                                          const Request&) {
     if (shard == 1 && seen.fetch_add(1) == 100) {
       throw std::runtime_error("shard worker fault injection");
     }
@@ -466,11 +471,12 @@ TEST(ShardedEstimator, BestEffortResumePreservesDeadShards) {
   ShardedEstimator::Config cfg;
   cfg.base_model = "shards";
   cfg.shards = 4;
-  cfg.threads = 2;
-  cfg.queue_capacity = 256;
-  cfg.failure_mode = ShardFailureMode::kBestEffort;
+  cfg.fanout.threads = 2;
+  cfg.fanout.queue_capacity = 256;
+  cfg.fanout.failure_mode = ShardFailureMode::kBestEffort;
   std::atomic<std::uint64_t> seen{0};
-  cfg.before_access_hook = [&seen](std::uint32_t shard, const Request&) {
+  cfg.fanout.before_access_hook = [&seen](std::uint32_t shard,
+                                          const Request&) {
     if (shard == 1 && seen.fetch_add(1) == 100) {
       throw std::runtime_error("shard worker fault injection");
     }
@@ -481,7 +487,7 @@ TEST(ShardedEstimator, BestEffortResumePreservesDeadShards) {
   ASSERT_TRUE(first.save_state(&blob).is_ok());
   EXPECT_EQ(first.shards_failed(), 1u);
   ShardedEstimator::Config resume_cfg = cfg;
-  resume_cfg.before_access_hook = nullptr;  // no fault on the resumed run
+  resume_cfg.fanout.before_access_hook = nullptr;  // resumed run: no fault
   ShardedEstimator resumed(resume_cfg);
   ASSERT_TRUE(resumed.load_state(blob).is_ok());
   for (std::size_t i = cut; i < trace.size(); ++i) resumed.access(trace[i]);
@@ -501,9 +507,9 @@ TEST(ShardedEstimator, BestEffortWithEveryShardDeadIsARealFailure) {
   ShardedEstimator::Config cfg;
   cfg.base_model = "shards";
   cfg.shards = 2;
-  cfg.threads = 1;
-  cfg.failure_mode = ShardFailureMode::kBestEffort;
-  cfg.before_access_hook = [](std::uint32_t, const Request&) {
+  cfg.fanout.threads = 1;
+  cfg.fanout.failure_mode = ShardFailureMode::kBestEffort;
+  cfg.fanout.before_access_hook = [](std::uint32_t, const Request&) {
     throw std::runtime_error("injected");
   };
   ShardedEstimator est(cfg);
@@ -552,6 +558,301 @@ TEST(ShardedEstimator, ShardRoutingIsAPureDisjointPartition) {
     ASSERT_LT(s, 7u);
     ASSERT_EQ(s, est.shard_of(key));  // pure function of the key
   }
+}
+
+// ---------------------------------------------------------------------------
+// krr_sharded: the paper's model behind the same runner. The suite keeps
+// the test IDs it had when krr ran on a dedicated sharded profiler, so the
+// history of each case stays traceable; every case now drives the generic
+// ShardedEstimator with base model "krr".
+// ---------------------------------------------------------------------------
+
+ShardedEstimator::Config krr_config(std::uint32_t shards, unsigned threads) {
+  ShardedEstimator::Config cfg;
+  cfg.base_model = "krr";
+  cfg.base_options.set("k", "5");
+  cfg.shards = shards;
+  cfg.fanout.threads = threads;
+  return cfg;
+}
+
+EstimatorOptions krr_options(std::uint32_t shards, unsigned threads) {
+  EstimatorOptions opts;
+  opts.set("k", "5");
+  opts.set("shards", std::to_string(shards));
+  opts.set("threads", std::to_string(threads));
+  return opts;
+}
+
+MissRatioCurve serial_krr(const std::vector<Request>& trace,
+                          EstimatorOptions opts) {
+  opts.set("k", "5");
+  auto est = make("krr", opts);
+  return run(*est, trace);
+}
+
+// Fails shard 1 on its 101st record, from inside the shard's worker.
+void inject_shard1_fault(ShardFanout::Config& fanout,
+                         std::atomic<std::uint64_t>& seen) {
+  fanout.before_access_hook = [&seen](std::uint32_t shard, const Request&) {
+    if (shard == 1 && seen.fetch_add(1) == 100) {
+      throw std::runtime_error("shard worker fault injection");
+    }
+  };
+}
+
+TEST(ShardedKrrProfiler, ShardRoutingIsAPureDisjointPartition) {
+  ShardedEstimator est(krr_config(7, 1));
+  std::vector<std::uint64_t> per_shard(7, 0);
+  for (std::uint64_t key = 0; key < 10000; ++key) {
+    const std::uint32_t s = est.shard_of(key);
+    ASSERT_LT(s, 7u);
+    ASSERT_EQ(s, est.shard_of(key));  // pure function of the key
+    ++per_shard[s];
+  }
+  // Every shard owns part of the keyspace.
+  for (std::uint32_t s = 0; s < 7; ++s) EXPECT_GT(per_shard[s], 0u) << s;
+}
+
+TEST(ShardedKrrProfiler, SingleShardInlineIsBitIdenticalToSerial) {
+  const auto trace = zipf_trace(50000, 4000);
+  EstimatorOptions base;
+  base.set("rate", "0.5");
+  base.set("seed", "11");
+  const MissRatioCurve serial = serial_krr(trace, base);
+  EstimatorOptions opts = krr_options(1, 1);
+  opts.set("rate", "0.5");
+  opts.set("seed", "11");
+  auto sharded = make("krr_sharded", opts);
+  expect_identical(serial, run(*sharded, trace), "S=1 T=1");
+}
+
+TEST(ShardedKrrProfiler, DeterministicUnderFixedSeedAndShardCount) {
+  const auto trace = zipf_trace(60000, 5000);
+  EstimatorOptions opts = krr_options(4, 1);
+  opts.set("seed", "7");
+  auto first = make("krr_sharded", opts);
+  const MissRatioCurve reference = run(*first, trace);
+  // Same shard count, any thread count (including re-runs): identical MRC.
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    opts.set("threads", std::to_string(threads));
+    auto est = make("krr_sharded", opts);
+    expect_identical(reference, run(*est, trace),
+                     "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(ShardedKrrProfiler, MergedMrcMatchesSerialOnZipf) {
+  const auto trace = zipf_trace(200000, 10000);
+  const MissRatioCurve serial = serial_krr(trace, {});
+  for (std::uint32_t shards : {2u, 4u, 8u}) {
+    auto est = make("krr_sharded", krr_options(shards, 2));
+    EXPECT_LE(mae_on_grid(serial, run(*est, trace)), 0.01)
+        << "shards=" << shards;
+  }
+}
+
+TEST(ShardedKrrProfiler, MergedMrcMatchesSerialOnMsrTrace) {
+  MsrGenerator gen(msr_profile("web"), 5, 12000, 1);
+  const auto trace = materialize(gen, 150000);
+  const MissRatioCurve serial = serial_krr(trace, {});
+  auto est = make("krr_sharded", krr_options(4, 3));
+  EXPECT_LE(mae_on_grid(serial, run(*est, trace)), 0.01);
+}
+
+TEST(ShardedKrrProfiler, MergedMrcMatchesSerialUnderSpatialSampling) {
+  // Sampling + sharding compose: each shard applies the SHARDS-adj against
+  // its own expectation before the merge, and the merged curve still
+  // tracks the serial sampled run.
+  const auto trace = zipf_trace(200000, 20000);
+  EstimatorOptions rate;
+  rate.set("rate", "0.1");
+  const MissRatioCurve serial = serial_krr(trace, rate);
+  EstimatorOptions opts = krr_options(4, 2);
+  opts.set("rate", "0.1");
+  auto est = make("krr_sharded", opts);
+  EXPECT_LE(mae_on_grid(serial, run(*est, trace)), 0.02);
+}
+
+TEST(ShardedKrrProfiler, StackDepthSumsToDistinctKeysAtFullRate) {
+  const auto trace = zipf_trace(40000, 3000);
+  auto est = make("krr_sharded", krr_options(8, 2));
+  run(*est, trace);
+  // Disjoint shards at rate 1.0 together track every distinct key once.
+  EXPECT_EQ(est->run_report().stack_depth, count_distinct(trace));
+  const obs::HeartbeatSnapshot snap = est->snapshot();
+  EXPECT_EQ(snap.stack_depth, count_distinct(trace));
+  EXPECT_EQ(snap.sampled, trace.size());
+  EXPECT_EQ(est->processed(), trace.size());
+}
+
+TEST(ShardedKrrProfiler, WorkerExceptionPropagatesFromFinish) {
+  const auto trace = zipf_trace(80000, 5000);
+  ShardedEstimator::Config cfg = krr_config(4, 2);
+  cfg.fanout.queue_capacity = 256;  // small ring: the producer backs up
+  std::atomic<std::uint64_t> seen{0};
+  inject_shard1_fault(cfg.fanout, seen);
+  ShardedEstimator est(cfg);
+  // The producer must not hang even though shard 1's consumer dies with
+  // its queue full; poisoned-run records are dropped.
+  for (const Request& r : trace) est.access(r);
+  EXPECT_THROW(est.finish(), std::runtime_error);
+  // Clean shutdown: a second finish() no longer throws and the estimator
+  // destructs without deadlock.
+  est.finish();
+}
+
+TEST(ShardedKrrProfiler, WorkerExceptionInInlineModePropagatesImmediately) {
+  ShardedEstimator::Config cfg = krr_config(2, 1);
+  cfg.fanout.before_access_hook = [](std::uint32_t, const Request&) {
+    throw std::runtime_error("inline fault");
+  };
+  ShardedEstimator est(cfg);
+  EXPECT_THROW(est.access(Request{1, 1, Op::kGet}), std::runtime_error);
+}
+
+TEST(ShardedKrrProfiler, BestEffortDropsFailedShardAndKeepsRunAlive) {
+  const auto trace = zipf_trace(80000, 5000);
+  ShardedEstimator::Config cfg = krr_config(4, 2);
+  cfg.fanout.queue_capacity = 256;
+  cfg.fanout.failure_mode = ShardFailureMode::kBestEffort;
+  std::atomic<std::uint64_t> seen{0};
+  inject_shard1_fault(cfg.fanout, seen);
+  ShardedEstimator est(cfg);
+  for (const Request& r : trace) est.access(r);
+  // The run survives: finish() joins cleanly instead of rethrowing.
+  EXPECT_NO_THROW(est.finish());
+  EXPECT_EQ(est.shards_failed(), 1u);
+  EXPECT_GT(est.dropped_records(), 0u);
+  EXPECT_EQ(est.processed(), trace.size());
+  EXPECT_FALSE(est.mrc().points().empty());
+  EXPECT_EQ(est.run_report().shards_failed, 1u);
+  obs::MetricsRegistry registry;
+  est.export_gauges(registry);
+  EXPECT_EQ(registry.gauge("sharded.shard1.failed").value(), 1.0);
+  EXPECT_EQ(registry.gauge("sharded.shard0.failed").value(), 0.0);
+}
+
+TEST(ShardedKrrProfiler, BestEffortRescaledCurveTracksTheFullRun) {
+  // Each shard is an unbiased 1/S spatial sample, so dropping one and
+  // rescaling the survivors by S/(S-1) must land near the no-failure curve.
+  const auto trace = zipf_trace(120000, 8000);
+  ShardedEstimator::Config cfg = krr_config(6, 1);  // inline: fixed fault point
+  ShardedEstimator healthy(cfg);
+  const MissRatioCurve full = run(healthy, trace);
+  cfg.fanout.failure_mode = ShardFailureMode::kBestEffort;
+  cfg.fanout.before_access_hook = [](std::uint32_t shard, const Request&) {
+    if (shard == 2) throw std::runtime_error("injected");
+  };
+  ShardedEstimator degraded(cfg);
+  const MissRatioCurve rescaled = run(degraded, trace);
+  EXPECT_EQ(degraded.shards_failed(), 1u);
+  // Extrapolated total mass stays close: the histogram was rescaled by 6/5.
+  EXPECT_NEAR(rescaled.max_size() / full.max_size(), 1.0, 0.15);
+  EXPECT_LT(mae_on_grid(full, rescaled), 0.05);
+}
+
+TEST(ShardedKrrProfiler, BestEffortWithEveryShardDeadIsARealFailure) {
+  ShardedEstimator::Config cfg = krr_config(2, 1);
+  cfg.fanout.failure_mode = ShardFailureMode::kBestEffort;
+  cfg.fanout.before_access_hook = [](std::uint32_t, const Request&) {
+    throw std::runtime_error("injected");
+  };
+  ShardedEstimator est(cfg);
+  const auto trace = zipf_trace(1000, 100);
+  for (const Request& r : trace) est.access(r);
+  EXPECT_EQ(est.shards_failed(), 2u);
+  // No survivor to extrapolate from: this is not a recoverable run.
+  EXPECT_THROW(est.finish(), StatusError);
+}
+
+TEST(ShardedKrrProfiler, StrictModeIsTheDefault) {
+  EXPECT_EQ(krr_config(2, 1).fanout.failure_mode, ShardFailureMode::kStrict);
+}
+
+TEST(ShardedKrrProfiler, MemoryCeilingDegradesPerShard) {
+  const auto trace = zipf_trace(60000, 20000, 0.7);
+  ShardedEstimator::Config cfg = krr_config(4, 2);
+  cfg.max_stack_bytes = 64 << 10;  // global ceiling, split across shards
+  ShardedEstimator est(cfg);
+  for (const Request& r : trace) est.access(r);
+  est.finish();
+  // Every shard degraded against its own slice of the ceiling and ends
+  // within it.
+  std::uint64_t events = 0;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    const obs::HeartbeatSnapshot snap = est.shard(s).snapshot();
+    EXPECT_GT(snap.degradation_events, 0u) << "shard " << s;
+    EXPECT_LT(snap.sampling_rate, 1.0) << "shard " << s;
+    EXPECT_LE(est.shard(s).space_overhead_bytes(), (64u << 10) / 4) << s;
+    events += snap.degradation_events;
+  }
+  const RunReport report = est.run_report();
+  EXPECT_LT(report.final_sampling_rate, report.configured_sampling_rate);
+  EXPECT_EQ(report.degradation_events, events);
+}
+
+TEST(ShardedKrrProfiler, MemoryBudgetIsSplitOnceAcrossShards) {
+  // Serial krr fits this trace's ~12k distinct keys (~56 B each) in 1 MiB.
+  // Four shards hold a quarter of the keys each against a quarter of the
+  // budget, so they fit too — a budget divided by S twice would not.
+  const auto trace = zipf_trace(200000, 20000);
+  EstimatorOptions opts;
+  opts.set("max_stack_bytes", "1048576");
+  auto serial = make("krr", opts);
+  run(*serial, trace);
+  ASSERT_EQ(serial->run_report().degradation_events, 0u);
+  opts.set("shards", "4");
+  opts.set("threads", "1");
+  auto sharded = make("krr_sharded", opts);
+  run(*sharded, trace);
+  const RunReport report = sharded->run_report();
+  EXPECT_EQ(report.degradation_events, 0u);
+  EXPECT_EQ(report.final_sampling_rate, report.configured_sampling_rate);
+  EXPECT_EQ(report.stack_depth, count_distinct(trace));
+}
+
+TEST(ShardedKrrProfiler, RunReportAndSnapshotAggregate) {
+  const auto trace = zipf_trace(30000, 2000);
+  ShardedEstimator est(krr_config(3, 2));
+  for (const Request& r : trace) est.access(r);
+  est.finish();
+  std::uint64_t depth = 0, sampled = 0, bytes = 0;
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    const obs::HeartbeatSnapshot shard = est.shard(s).snapshot();
+    depth += shard.stack_depth;
+    sampled += shard.sampled;
+    bytes += shard.resident_bytes;
+  }
+  const RunReport report = est.run_report();
+  EXPECT_EQ(report.records_read, trace.size());
+  EXPECT_EQ(report.stack_depth, depth);
+  EXPECT_EQ(report.space_overhead_bytes, bytes);
+  const obs::HeartbeatSnapshot snap = est.snapshot();
+  EXPECT_EQ(snap.records, trace.size());
+  EXPECT_EQ(snap.sampled, sampled);
+  EXPECT_EQ(snap.stack_depth, depth);
+}
+
+TEST(ShardedKrrProfiler, ThreadedAccessorsRequireFinish) {
+  ShardedEstimator est(krr_config(2, 2));
+  EXPECT_THROW(est.mrc(), std::logic_error);
+  EXPECT_THROW(est.run_report(), std::logic_error);
+  EXPECT_THROW(est.shard(0), std::logic_error);
+  est.finish();
+  EXPECT_NO_THROW(est.mrc());
+}
+
+TEST(ShardedKrrProfiler, ExportsPerShardGauges) {
+  const auto trace = zipf_trace(20000, 1000);
+  auto est = make("krr_sharded", krr_options(2, 1));
+  run(*est, trace);
+  obs::MetricsRegistry registry;
+  est->export_gauges(registry);
+  const double d0 = registry.gauge("sharded.shard0.stack_depth").value();
+  const double d1 = registry.gauge("sharded.shard1.stack_depth").value();
+  EXPECT_EQ(static_cast<std::uint64_t>(d0 + d1),
+            est->run_report().stack_depth);
 }
 
 }  // namespace

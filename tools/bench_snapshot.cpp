@@ -164,104 +164,71 @@ int main(int argc, char** argv) {
   }
 
   // 5. Sharded-pipeline scaling on the hot Zipf trace: speedup of
-  // ShardedKrrProfiler over the serial baseline per thread count, and the
-  // merged MRC's MAE against serial (the accuracy cost of sharding).
-  // Numbers are honest to the machine that ran them — see
-  // hardware_concurrency above; a 1-core runner records ~1x.
+  // krr_sharded over the serial baseline per thread count, and the merged
+  // MRC's MAE against serial (the accuracy cost of sharding), plus one
+  // shards_sharded row against its own serial baseline. Every run goes
+  // through EstimatorRegistry. Numbers are honest to the machine that ran
+  // them — see hardware_concurrency above; a 1-core runner records ~1x.
   {
     const std::vector<Request>& trace = cases[0].trace;
     const double serial_secs = profile_seconds(
         trace, 5.0, 1.0, UpdateStrategy::kBackward, nullptr, repeats);
-    MissRatioCurve serial_mrc;
-    {
-      KrrProfilerConfig cfg;
-      cfg.k_sample = 5.0;
-      cfg.seed = 7;
-      KrrProfiler profiler(cfg);
-      for (const Request& r : trace) profiler.access(r);
-      serial_mrc = profiler.mrc();
-    }
-    const std::vector<double> sizes =
-        evenly_spaced_sizes(serial_mrc.max_size(), 40);
-    obs::Json rows = obs::Json::array();
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      MissRatioCurve merged;
+    auto& registry = EstimatorRegistry::instance();
+    // threads == 0 runs the serial model; otherwise S=8 over `threads`.
+    const auto run_registry =
+        [&](const std::string& name,
+            unsigned threads) -> std::pair<double, MissRatioCurve> {
+      MissRatioCurve curve;
       const double secs = median_seconds(repeats, [&] {
-        ShardedKrrProfilerConfig cfg;
-        cfg.base.k_sample = 5.0;
-        cfg.base.seed = 7;
-        cfg.shards = 8;
-        cfg.threads = threads;
-        ShardedKrrProfiler profiler(cfg);
-        for (const Request& r : trace) profiler.access(r);
-        profiler.finish();
-        merged = profiler.mrc();
+        EstimatorOptions options;
+        options.set("seed", "7");
+        if (threads != 0) {
+          options.set("shards", "8");
+          options.set("threads", std::to_string(threads));
+        }
+        auto est = registry.create(name, options);
+        if (!est.is_ok()) {
+          std::fprintf(stderr, "%s: %s\n", name.c_str(),
+                       est.status().message().c_str());
+          std::exit(1);
+        }
+        for (const Request& r : trace) (*est)->access(r);
+        (*est)->finish();
+        curve = (*est)->mrc({});
       });
+      return {secs, curve};
+    };
+    obs::Json rows = obs::Json::array();
+    const auto add_row = [&](const std::string& model, unsigned threads,
+                             double secs, double base_secs, double mae) {
       obs::Json row = obs::Json::object();
-      row.set("model", obs::Json("krr"));
+      row.set("model", obs::Json(model));
       row.set("threads", obs::Json(std::uint64_t{threads}));
       row.set("shards", obs::Json(std::uint64_t{8}));
       row.set("seconds", obs::Json(secs));
       row.set("mrec_per_s",
               obs::Json(static_cast<double>(trace.size()) / secs / 1e6));
-      row.set("speedup_vs_serial", obs::Json(serial_secs / secs));
-      row.set("mae_vs_serial", obs::Json(serial_mrc.mae(merged, sizes)));
-      rows.push_back(std::move(row));
-      std::printf("sharded threads=%u shards=8  %.3f s (%.2fx, mae %.5f)\n",
-                  threads, secs, serial_secs / secs,
-                  serial_mrc.mae(merged, sizes));
-    }
-
-    // One generic-runner row (PR 8): the SHARDS model through the registry's
-    // shards_sharded adapter, against its own serial baseline — pins the
-    // fan-out overhead of ShardedEstimator next to the krr pipeline's.
-    {
-      auto& registry = EstimatorRegistry::instance();
-      const auto run_registry = [&](const char* name,
-                                    bool sharded) -> std::pair<double,
-                                                               MissRatioCurve> {
-        MissRatioCurve curve;
-        const double secs = median_seconds(repeats, [&] {
-          EstimatorOptions options;
-          options.set("seed", "7");
-          if (sharded) {
-            options.set("shards", "8");
-            options.set("threads", "4");
-          }
-          auto est = registry.create(name, options);
-          if (!est.is_ok()) {
-            std::fprintf(stderr, "%s: %s\n", name,
-                         est.status().message().c_str());
-            std::exit(1);
-          }
-          for (const Request& r : trace) (*est)->access(r);
-          (*est)->finish();
-          curve = (*est)->mrc({});
-        });
-        return {secs, curve};
-      };
-      const auto [shards_serial_secs, shards_serial_mrc] =
-          run_registry("shards", false);
-      const auto [shards_secs, shards_mrc] =
-          run_registry("shards_sharded", true);
-      const std::vector<double> shards_sizes =
-          evenly_spaced_sizes(shards_serial_mrc.max_size(), 40);
-      obs::Json row = obs::Json::object();
-      row.set("model", obs::Json("shards"));
-      row.set("threads", obs::Json(std::uint64_t{4}));
-      row.set("shards", obs::Json(std::uint64_t{8}));
-      row.set("seconds", obs::Json(shards_secs));
-      row.set("mrec_per_s",
-              obs::Json(static_cast<double>(trace.size()) / shards_secs / 1e6));
-      row.set("speedup_vs_serial", obs::Json(shards_serial_secs / shards_secs));
-      row.set("mae_vs_serial",
-              obs::Json(shards_serial_mrc.mae(shards_mrc, shards_sizes)));
+      row.set("speedup_vs_serial", obs::Json(base_secs / secs));
+      row.set("mae_vs_serial", obs::Json(mae));
       rows.push_back(std::move(row));
       std::printf(
-          "sharded model=shards threads=4 shards=8  %.3f s (%.2fx, mae %.5f)\n",
-          shards_secs, shards_serial_secs / shards_secs,
-          shards_serial_mrc.mae(shards_mrc, shards_sizes));
+          "sharded model=%s threads=%u shards=8  %.3f s (%.2fx, mae %.5f)\n",
+          model.c_str(), threads, secs, base_secs / secs, mae);
+    };
+    const MissRatioCurve serial_mrc = run_registry("krr", 0).second;
+    const std::vector<double> sizes =
+        evenly_spaced_sizes(serial_mrc.max_size(), 40);
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+      const auto [secs, merged] = run_registry("krr_sharded", threads);
+      add_row("krr", threads, secs, serial_secs, serial_mrc.mae(merged, sizes));
     }
+    const auto [shards_serial_secs, shards_serial_mrc] =
+        run_registry("shards", 0);
+    const auto [shards_secs, shards_mrc] = run_registry("shards_sharded", 4);
+    const std::vector<double> shards_sizes =
+        evenly_spaced_sizes(shards_serial_mrc.max_size(), 40);
+    add_row("shards", 4, shards_secs, shards_serial_secs,
+            shards_serial_mrc.mae(shards_mrc, shards_sizes));
     obs::Json section = obs::Json::object();
     section.set("workload", obs::Json(cases[0].name));
     section.set("serial_seconds", obs::Json(serial_secs));

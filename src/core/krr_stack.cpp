@@ -27,41 +27,89 @@ KrrStack::KrrStack(const KrrStackConfig& config)
   }
 }
 
+void KeySlotIndex::reset(std::size_t expected) {
+  std::size_t capacity = 16;
+  shift_ = 28;
+  while (expected * 4 > capacity * 3) {
+    capacity *= 2;
+    --shift_;
+  }
+  table_.assign(capacity, Entry{0, kMaxSlots});
+  size_ = 0;
+}
+
+void KeySlotIndex::grow() {
+  if (table_.empty()) {
+    reset(0);
+    return;
+  }
+  if (shift_ == 0) throw std::length_error("key slot index is full");
+  std::vector<Entry> old(table_.size() * 2, Entry{0, kMaxSlots});
+  old.swap(table_);
+  --shift_;
+  const std::size_t mask = table_.size() - 1;
+  for (const Entry& entry : old) {
+    if (entry.slot == kMaxSlots) continue;
+    std::size_t h = entry.tag >> shift_;
+    while (table_[h].slot != kMaxSlots) h = (h + 1) & mask;
+    table_[h] = entry;
+  }
+}
+
 std::uint64_t KrrStack::total_bytes() const noexcept {
   return size_array_ ? size_array_->total_bytes() : stack_.size();
+}
+
+void KrrStack::clear() {
+  stack_.clear();
+  sizes_.clear();
+  slots_.clear();
+  slot_pos_.clear();
+  index_.reset(0);
+  if (size_array_) size_array_ = std::make_unique<SizeArray>(config_.size_array_base);
+  if (exact_bytes_) exact_bytes_ = std::make_unique<ExactByteTracker>();
+  last_exact_byte_distance_.reset();
+  swaps_performed_ = 0;
+}
+
+bool KrrStack::rebuild_auxiliary() {
+  const std::size_t depth = stack_.size();
+  slots_.resize(depth);
+  slot_pos_.resize(depth);
+  index_.reset(depth);
+  for (std::size_t i = 0; i < depth; ++i) {
+    const auto slot = static_cast<std::uint32_t>(i);
+    slots_[i] = slot;
+    slot_pos_[i] = slot;
+    if (index_.find_or_insert(stack_[i], slot, key_of_slot()) != slot) return false;
+  }
+  // The byte trackers are prefix structures over stack positions; rebuild
+  // them by replaying the stack as appends (top first).
+  if (size_array_) {
+    size_array_ = std::make_unique<SizeArray>(config_.size_array_base);
+    for (std::size_t i = 0; i < depth; ++i) size_array_->on_append(sizes_[i], i + 1);
+  }
+  if (exact_bytes_) {
+    exact_bytes_ = std::make_unique<ExactByteTracker>();
+    for (std::size_t i = 0; i < depth; ++i) exact_bytes_->on_append(sizes_[i], i + 1);
+  }
+  last_exact_byte_distance_.reset();
+  return true;
 }
 
 std::uint64_t KrrStack::retain(const std::function<bool(std::uint64_t)>& keep) {
   std::size_t write = 0;
   for (std::size_t read = 0; read < stack_.size(); ++read) {
-    if (!keep(stack_[read])) {
-      position_.erase(stack_[read]);
-      continue;
-    }
+    if (!keep(stack_[read])) continue;
     stack_[write] = stack_[read];
     sizes_[write] = sizes_[read];
-    position_[stack_[write]] = write;
     ++write;
   }
   const std::uint64_t evicted = stack_.size() - write;
   if (evicted == 0) return 0;
   stack_.resize(write);
   sizes_.resize(write);
-  // The byte trackers are prefix structures over stack positions; rebuild
-  // them by replaying the compacted stack as appends (top first).
-  if (size_array_) {
-    size_array_ = std::make_unique<SizeArray>(config_.size_array_base);
-    for (std::size_t i = 0; i < write; ++i) {
-      size_array_->on_append(sizes_[i], i + 1);
-    }
-  }
-  if (exact_bytes_) {
-    exact_bytes_ = std::make_unique<ExactByteTracker>();
-    for (std::size_t i = 0; i < write; ++i) {
-      exact_bytes_->on_append(sizes_[i], i + 1);
-    }
-  }
-  last_exact_byte_distance_.reset();
+  rebuild_auxiliary();  // the survivors were distinct keys already
   return evicted;
 }
 
@@ -78,47 +126,35 @@ void KrrStack::save_state(std::string& out) const {
 }
 
 bool KrrStack::load_state(ckpt::ByteReader& reader) {
-  stack_.clear();
-  sizes_.clear();
-  position_.clear();
-  last_exact_byte_distance_.reset();
+  clear();
+  const auto fail = [this] {
+    clear();
+    return false;
+  };
   std::uint64_t depth = 0;
-  if (!reader.read_u64(&depth)) return false;
+  if (!reader.read_u64(&depth)) return fail();
   // Each entry needs 12 payload bytes; a depth the payload cannot hold is
   // a corrupt length field, not a real stack.
-  if (depth > reader.remaining() / 12) return false;
+  if (depth > reader.remaining() / 12 || depth >= KeySlotIndex::kMaxSlots) return fail();
   stack_.reserve(depth);
   sizes_.reserve(depth);
-  position_.reserve(depth);
   for (std::uint64_t i = 0; i < depth; ++i) {
     std::uint64_t key = 0;
     std::uint32_t size = 0;
-    if (!reader.read_u64(&key) || !reader.read_u32(&size)) return false;
-    // Duplicate keys would desynchronize the position index.
-    if (!position_.emplace(key, stack_.size()).second) return false;
+    if (!reader.read_u64(&key) || !reader.read_u32(&size)) return fail();
     stack_.push_back(key);
     sizes_.push_back(size);
   }
-  if (!reader.read_u64(&swaps_performed_)) return false;
+  std::uint64_t swaps = 0;
   std::uint64_t rng_state[4];
+  if (!reader.read_u64(&swaps)) return fail();
   for (std::uint64_t& word : rng_state) {
-    if (!reader.read_u64(&word)) return false;
+    if (!reader.read_u64(&word)) return fail();
   }
+  // Duplicate keys would desynchronize the slot index.
+  if (!rebuild_auxiliary()) return fail();
+  swaps_performed_ = swaps;
   rng_.load_state(rng_state);
-  // Prefix byte trackers are rebuilt by replaying appends, top first (the
-  // same reconstruction retain() uses after compaction).
-  if (size_array_) {
-    size_array_ = std::make_unique<SizeArray>(config_.size_array_base);
-    for (std::size_t i = 0; i < stack_.size(); ++i) {
-      size_array_->on_append(sizes_[i], i + 1);
-    }
-  }
-  if (exact_bytes_) {
-    exact_bytes_ = std::make_unique<ExactByteTracker>();
-    for (std::size_t i = 0; i < stack_.size(); ++i) {
-      exact_bytes_->on_append(sizes_[i], i + 1);
-    }
-  }
   return true;
 }
 
@@ -160,26 +196,32 @@ KrrStack::AccessResult KrrStack::access_instrumented(std::uint64_t key,
 
 KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t size) {
   AccessResult result{};
+  if (stack_.size() >= KeySlotIndex::kMaxSlots) {
+    throw std::length_error("KRR stack depth exceeds the slot index's 32-bit range");
+  }
+  const auto fresh = static_cast<std::uint32_t>(stack_.size());
+  const std::uint32_t slot = index_.find_or_insert(key, fresh, key_of_slot());
   std::uint64_t phi;
-  auto it = position_.find(key);
-  if (it == position_.end()) {
+  if (slot == fresh) {
     // Cold reference: attach at the stack end before the update, so the
     // rotation carries it to the top like any other reference (Alg. 1).
     stack_.push_back(key);
     sizes_.push_back(size);
-    position_.emplace(key, stack_.size() - 1);
+    slots_.push_back(slot);
+    slot_pos_.push_back(fresh);
     phi = stack_.size();
     result.cold = true;
     if (size_array_) size_array_->on_append(size, phi);
     if (exact_bytes_) exact_bytes_->on_append(size, phi);
   } else {
-    phi = it->second + 1;
+    const std::uint32_t index = slot_pos_[slot];
+    phi = std::uint64_t{index} + 1;
     result.cold = false;
-    if (sizes_[it->second] != size) {
+    if (sizes_[index] != size) {
       // A set with a new value size: resize in place before measuring.
-      if (size_array_) size_array_->on_resize(phi, sizes_[it->second], size);
-      if (exact_bytes_) exact_bytes_->on_resize(phi, sizes_[it->second], size);
-      sizes_[it->second] = size;
+      if (size_array_) size_array_->on_resize(phi, sizes_[index], size);
+      if (exact_bytes_) exact_bytes_->on_resize(phi, sizes_[index], size);
+      sizes_[index] = size;
     }
   }
   result.position = phi;
@@ -189,7 +231,8 @@ KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t si
   }
 
   // Sample the swap chain and rotate: resident of chain[j] moves to
-  // chain[j+1]; the referenced object lands on top.
+  // chain[j+1]; the referenced object lands on top. Slots travel with their
+  // keys, so each move updates its slot's position without hashing.
   sampler_.sample(phi, rng_, chain_);
   swaps_performed_ += chain_.size();
   if (phi == 1) return result;
@@ -200,11 +243,13 @@ KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t si
     const std::uint64_t src = chain_[j - 1] - 1;
     stack_[dst] = stack_[src];
     sizes_[dst] = sizes_[src];
-    position_[stack_[dst]] = dst;
+    slots_[dst] = slots_[src];
+    slot_pos_[slots_[dst]] = static_cast<std::uint32_t>(dst);
   }
   stack_[0] = key;
   sizes_[0] = size;
-  position_[key] = 0;
+  slots_[0] = slot;
+  slot_pos_[slot] = 0;
   return result;
 }
 

@@ -39,6 +39,18 @@ constexpr int kDrainBatch = 256;
 /// per ~4096 records — the same stride Heartbeat::tick gates at.
 constexpr std::uint64_t kDrainTraceStride = 16;
 
+/// Spin-wait hint for a worker that found all its queues empty. Polling
+/// again at once keeps pulling the queues' write-index lines away from the
+/// producer, which then pays a coherence miss on nearly every push; the
+/// faster the workers, the more of the run they spend polling. Pausing
+/// first measured 18.4-18.9 Mrec/s on the benchmark's zipf07_r001_s4t2
+/// (S=4, T=2, R=0.01) against 15.9-16.4 without it (4-vCPU Xeon VM).
+void idle_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  for (int n = 0; n < 64; ++n) __builtin_ia32_pause();
+#endif
+}
+
 }  // namespace
 
 struct ShardPayload {
@@ -623,6 +635,7 @@ void ShardFanout::drain_loop(unsigned worker_index) {
         }
         if (all_empty) return;
       } else {
+        idle_pause();
         std::this_thread::yield();
       }
     }

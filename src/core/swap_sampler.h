@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/swap_kernel.h"
 #include "util/prng.h"
 
 namespace krr {
@@ -91,6 +92,7 @@ class SwapSampler {
   SamplingModel model_;
   double k_;
   double inv_k_;
+  swap_kernel::RootConstants roots_;
 };
 
 }  // namespace krr

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
 
 #include "baselines/lru_stack.h"
 #include "baselines/naive_stack.h"
+#include "core/checkpoint.h"
 #include "core/krr_stack.h"
 #include "trace/generator.h"
 #include "trace/msr.h"
@@ -142,6 +144,111 @@ TEST(KrrStack, SwapsPerformedAccumulates) {
   KrrStack stack(config(1.0));
   for (std::uint64_t k = 1; k <= 10; ++k) stack.access(k);
   EXPECT_GT(stack.swaps_performed(), 0u);
+}
+
+std::uint32_t size_of(std::uint64_t key) { return 1 + static_cast<std::uint32_t>(key % 7); }
+
+TEST(KrrStack, SlotIndexSurvivesRetainAndCheckpoint) {
+  KrrStackConfig cfg = config(corrected_k(5.0), UpdateStrategy::kBackward, 21);
+  cfg.track_bytes = true;
+  KrrStack stack(cfg);
+  ZipfianGenerator gen(3000, 0.9, 4);
+  // Every access must report the position the key held just before it
+  // (the stack length it lands at when cold), found here by a scan of the
+  // public stack view, and must leave the key on top.
+  const auto drive = [&](KrrStack& s, int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t key = gen.next().key;
+      const std::vector<std::uint64_t>& keys = s.stack();
+      const auto found = std::find(keys.begin(), keys.end(), key);
+      const bool cold = found == keys.end();
+      const auto position = static_cast<std::uint64_t>(found - keys.begin()) + 1;
+      const auto result = s.access(key, size_of(key));
+      ASSERT_EQ(result.cold, cold);
+      ASSERT_EQ(result.position, position);
+      ASSERT_EQ(s.key_at(1), key);
+    }
+  };
+  drive(stack, 20000);
+  const std::vector<std::uint64_t> before = stack.stack();
+  const std::uint64_t evicted = stack.retain([](std::uint64_t key) { return key % 2 == 0; });
+  ASSERT_GT(evicted, 0u);
+  for (const std::uint64_t key : stack.stack()) ASSERT_EQ(key % 2, 0u);
+  // Evicted keys come back cold; survivors are found where they now sit.
+  std::uint64_t odd = 0, even = 0;
+  for (const std::uint64_t key : before) (key % 2 == 1 ? odd : even) = key;
+  const std::uint64_t survivor_depth = stack.depth();
+  EXPECT_TRUE(stack.access(odd, size_of(odd)).cold);
+  EXPECT_EQ(stack.depth(), survivor_depth + 1);
+  const auto warm = stack.access(even, size_of(even));
+  EXPECT_FALSE(warm.cold);
+  EXPECT_EQ(stack.key_at(1), even);
+  drive(stack, 20000);
+
+  std::string payload;
+  stack.save_state(payload);
+  KrrStack resumed(cfg);
+  ckpt::ByteReader reader(payload);
+  ASSERT_TRUE(resumed.load_state(reader));
+  EXPECT_EQ(resumed.stack(), stack.stack());
+  EXPECT_EQ(resumed.swaps_performed(), stack.swaps_performed());
+  EXPECT_EQ(resumed.total_bytes(), stack.total_bytes());
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t key = gen.next().key;
+    const auto a = stack.access(key, size_of(key));
+    const auto b = resumed.access(key, size_of(key));
+    ASSERT_EQ(a.cold, b.cold) << "access " << i;
+    ASSERT_EQ(a.position, b.position) << "access " << i;
+    ASSERT_EQ(a.byte_distance, b.byte_distance) << "access " << i;
+    ASSERT_EQ(resumed.key_at(1), key);
+  }
+  EXPECT_EQ(resumed.stack(), stack.stack());
+  EXPECT_EQ(resumed.swaps_performed(), stack.swaps_performed());
+}
+
+TEST(KrrStack, LoadStateRejectsRepeatedKeyAndLeavesStackEmpty) {
+  KrrStack stack(config(2.0));
+  std::string payload;
+  ckpt::append_u64(payload, 2);  // depth
+  for (int i = 0; i < 2; ++i) {
+    ckpt::append_u64(payload, 42);  // the same key twice
+    ckpt::append_u32(payload, 1);
+  }
+  ckpt::append_u64(payload, 9);  // swaps performed
+  for (std::uint64_t word = 1; word <= 4; ++word) ckpt::append_u64(payload, word);
+  ckpt::ByteReader reader(payload);
+  EXPECT_FALSE(stack.load_state(reader));
+  EXPECT_EQ(stack.depth(), 0u);
+  EXPECT_EQ(stack.swaps_performed(), 0u);
+  EXPECT_TRUE(stack.access(42).cold);
+  EXPECT_EQ(stack.depth(), 1u);
+}
+
+TEST(KrrStack, TruncatedLoadClearsAUsedByteTrackingStack) {
+  KrrStackConfig cfg = config(2.0);
+  cfg.track_bytes = true;
+  KrrStack source(cfg);
+  for (std::uint64_t key = 1; key <= 20; ++key) source.access(key, 10);
+  std::string payload;
+  source.save_state(payload);
+  payload.resize(payload.size() / 2);
+
+  KrrStack stack(cfg);
+  stack.access(1, 100);
+  stack.access(2, 200);
+  stack.access(3, 50);
+  ASSERT_EQ(stack.total_bytes(), 350u);
+  ckpt::ByteReader reader(payload);
+  EXPECT_FALSE(stack.load_state(reader));
+  EXPECT_EQ(stack.depth(), 0u);
+  EXPECT_EQ(stack.total_bytes(), 0u);
+  EXPECT_EQ(stack.swaps_performed(), 0u);
+  // The emptied stack is usable: the old residents are gone.
+  const auto result = stack.access(2, 200);
+  EXPECT_TRUE(result.cold);
+  EXPECT_EQ(result.position, 1u);
+  EXPECT_EQ(result.byte_distance, 200u);
+  EXPECT_EQ(stack.total_bytes(), 200u);
 }
 
 TEST(KrrStack, ByteTrackingRequiresFlag) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
+#include "core/krr_stack.h"
+#include "core/swap_kernel.h"
 #include "core/swap_sampler.h"
 #include "util/prng.h"
 
@@ -156,6 +160,125 @@ TEST(SwapSampler, ExpectedSwapsGrowsLogarithmically) {
   SwapSampler k4(UpdateStrategy::kBackward, 4.0);
   const double delta = k4.expected_swaps(2000) - k4.expected_swaps(1000);
   EXPECT_NEAR(delta, 4.0 * std::log(2.0), 0.1);
+}
+
+// The one-draw-at-a-time backward sampler for the placing-back model, as it
+// stood before the batched kernel: one uniform and one std::pow per swap.
+// The batched sampler must reproduce its chains and its PRNG stream.
+void reference_backward(double k, std::uint64_t phi, Xoshiro256ss& rng,
+                        std::vector<std::uint64_t>& out) {
+  out.clear();
+  if (phi == 1) {
+    out.push_back(1);
+    return;
+  }
+  const double inv_k = 1.0 / k;
+  out.push_back(phi);
+  std::uint64_t i = phi;
+  while (i > 1) {
+    const double r = rng.next_double_open0();
+    const double scaled = std::pow(r, inv_k) * static_cast<double>(i - 1);
+    std::uint64_t x = static_cast<std::uint64_t>(std::ceil(scaled));
+    if (x < 1) x = 1;
+    if (x >= i) x = i - 1;
+    out.push_back(x);
+    i = x;
+  }
+  std::reverse(out.begin(), out.end());
+}
+
+std::array<std::uint64_t, 4> state_of(const Xoshiro256ss& rng) {
+  std::array<std::uint64_t, 4> words{};
+  rng.save_state(words.data());
+  return words;
+}
+
+const std::vector<double>& equivalence_exponents() {
+  static const std::vector<double> ks = {1.0, 1.5, corrected_k(2.0), corrected_k(5.0), 64.0};
+  return ks;
+}
+
+TEST(SwapSamplerBatched, ChainsAndStreamMatchTheOneDrawSampler) {
+  for (const double k : equivalence_exponents()) {
+    SwapSampler sampler(UpdateStrategy::kBackward, k);
+    Xoshiro256ss rng(11);
+    Xoshiro256ss reference_rng(11);
+    Xoshiro256ss phi_rng(12);
+    std::vector<std::uint64_t> chain;
+    std::vector<std::uint64_t> expected;
+    std::vector<std::uint64_t> phis = {2, 3, 17, 52801, std::uint64_t{1} << 40};
+    // Log-uniform distances up to 2^24, so short chains that end early in
+    // a block and long ones that span many blocks both occur.
+    for (int n = 0; n < 100000; ++n) {
+      const std::uint64_t bits = 1 + phi_rng.next_below(24);
+      phis.push_back(2 + phi_rng.next_below(std::uint64_t{1} << bits));
+    }
+    for (const std::uint64_t phi : phis) {
+      sampler.sample(phi, rng, chain);
+      reference_backward(k, phi, reference_rng, expected);
+      ASSERT_EQ(chain, expected) << "k=" << k << " phi=" << phi;
+      ASSERT_EQ(state_of(rng), state_of(reference_rng)) << "k=" << k << " phi=" << phi;
+    }
+  }
+}
+
+// Relative error of the block kernel against std::pow, worst over `draws`.
+double worst_root_error(double k, const std::vector<double>& draws) {
+  const swap_kernel::RootConstants constants = swap_kernel::root_constants(1.0 / k);
+  double worst = 0.0;
+  for (std::size_t start = 0; start < draws.size(); start += swap_kernel::kBlock) {
+    double r[swap_kernel::kBlock];
+    double u[swap_kernel::kBlock];
+    for (std::size_t j = 0; j < swap_kernel::kBlock; ++j) {
+      r[j] = draws[std::min(start + j, draws.size() - 1)];
+    }
+    swap_kernel::root_block(r, u, constants);
+    for (std::size_t j = 0; j < swap_kernel::kBlock; ++j) {
+      const double exact = std::pow(r[j], 1.0 / k);
+      worst = std::max(worst, std::fabs(u[j] - exact) / exact);
+    }
+  }
+  return worst;
+}
+
+TEST(SwapSamplerBatched, KernelRootIsWithinTwoToTheMinus48OfPow) {
+  const double bound = std::ldexp(1.0, -48);
+  Xoshiro256ss rng(5);
+  std::vector<double> draws;
+  for (int n = 0; n < 1000000; ++n) {
+    double r = rng.next_double_open0();
+    // Half the draws log-uniform, so every binary exponent down to the
+    // smallest uniform Alg. 2 can draw, 2^-53, is covered.
+    if (n % 2 == 1) r = std::max(std::ldexp(r, -static_cast<int>(rng.next_below(53))), 0x1p-53);
+    draws.push_back(r);
+  }
+  const std::vector<double> edges = {1.0, 1.0 - 0x1p-53, 0x1p-53};
+  for (const double k : equivalence_exponents()) {
+    EXPECT_LE(worst_root_error(k, edges), bound) << "k=" << k;
+    EXPECT_LE(worst_root_error(k, draws), bound) << "k=" << k;
+  }
+}
+
+TEST(SwapSamplerBatched, IntegerBoundariesFallBackToPow) {
+  // r = 1 roots to exactly 1, so u * (i-1) is the integer i-1: the kernel
+  // must not decide the ceiling there.
+  const swap_kernel::RootConstants constants = swap_kernel::root_constants(1.0 / corrected_k(5.0));
+  double r[swap_kernel::kBlock];
+  double u[swap_kernel::kBlock];
+  for (double& draw : r) draw = 1.0;
+  swap_kernel::root_block(r, u, constants);
+  for (const std::uint64_t i : {2ULL, 3ULL, 1000ULL, 1ULL << 40}) {
+    EXPECT_EQ(swap_kernel::certain_previous_swap(u[0], i), 0u) << "i=" << i;
+  }
+  // On an integer, and within the slack of one, the step is refused too.
+  EXPECT_EQ(swap_kernel::certain_previous_swap(0.5, 3), 0u);
+  EXPECT_EQ(swap_kernel::certain_previous_swap(0.5 + 0x1p-50, 3), 0u);
+  EXPECT_EQ(swap_kernel::certain_previous_swap(0.5 - 0x1p-50, 3), 0u);
+  // Beyond 2^52 every double is an integer.
+  EXPECT_EQ(swap_kernel::certain_previous_swap(0.75, std::uint64_t{1} << 60), 0u);
+  // Clear of every integer, the step is the clamped ceiling.
+  EXPECT_EQ(swap_kernel::certain_previous_swap(0.25, 11), 3u);
+  EXPECT_EQ(swap_kernel::certain_previous_swap(1e-9, 11), 1u);
 }
 
 TEST(SwapSampler, StrategyNamesAreStable) {

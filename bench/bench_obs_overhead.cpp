@@ -1,7 +1,7 @@
 // bench_obs_overhead — the obs layer's own overhead budget, measured.
 //
 // Runs the end-to-end KrrProfiler over a synthetic Zipf trace three ways:
-//   detached   instrumentation compiled in but no metrics attached
+//   detached   no metrics attached
 //              (the default library user's configuration)
 //   attached   full PipelineMetrics wired in (what --metrics-out pays)
 //   heartbeat  attached + a Heartbeat ticked per record (what --progress
@@ -12,11 +12,6 @@
 // and reports throughput plus the relative slowdown. With --check it exits
 // non-zero when the attached or traced overhead exceeds --max-overhead
 // percent (default 5) — the `make bench_smoke` gate.
-//
-// When the library is compiled with -DKRR_METRICS=OFF every configuration
-// collapses to the uninstrumented access path (attach_metrics is a no-op),
-// so the reported overhead is ~0% — that is the compiled-out verification,
-// not a measurement artifact; the binary prints which mode it is in.
 //
 //   bench_obs_overhead [--n=2000000] [--footprint=100000] [--alpha=0.9]
 //                      [--k=5] [--rate=1.0] [--repeats=5]
@@ -123,8 +118,6 @@ int main(int argc, char** argv) {
 
   std::printf("obs overhead on zipf:%g (n=%zu, footprint=%llu, K=%g, R=%g)\n",
               alpha, n, static_cast<unsigned long long>(footprint), k, rate);
-  std::printf("hot-path instrumentation compiled %s\n",
-              obs::kHotPathInstrumentation ? "IN" : "OUT");
   Table table({"config", "median_s", "Mrec_per_s", "overhead_pct"});
   table.add("detached", detached, nrec / detached / 1e6, 0.0);
   table.add("attached", attached, nrec / attached / 1e6, attach_pct);

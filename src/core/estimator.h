@@ -95,8 +95,7 @@ struct EstimatorCapabilities {
   /// Telemetry attachment: refresh_metrics_gauges publishes real model.*
   /// gauges (depth, samples, degradations, ... — see ModelGaugeSnapshot)
   /// and passes the registry-wide metrics conformance test. Models of the
-  /// KRR family additionally instrument their hot paths when KRR_METRICS
-  /// is compiled in.
+  /// KRR family additionally instrument their hot paths.
   bool metrics = false;
   /// O(stack depth) per access: a reference oracle for correctness work,
   /// excluded from the perf zoo/bench sweeps that would take hours on it.

@@ -159,21 +159,14 @@ bool KrrStack::load_state(ckpt::ByteReader& reader) {
 }
 
 void KrrStack::attach_metrics(obs::StackMetrics* metrics) noexcept {
-#ifdef KRR_METRICS_ENABLED
   metrics_ = metrics;
-#else
-  (void)metrics;
-#endif
 }
 
 KrrStack::AccessResult KrrStack::access(std::uint64_t key, std::uint32_t size) {
-#ifdef KRR_METRICS_ENABLED
   if (metrics_ != nullptr) return access_instrumented(key, size);
-#endif
   return access_impl(key, size);
 }
 
-#ifdef KRR_METRICS_ENABLED
 KrrStack::AccessResult KrrStack::access_instrumented(std::uint64_t key,
                                                      std::uint32_t size) {
   // Timing every access would cost two clock reads (~40 ns) against a
@@ -192,7 +185,6 @@ KrrStack::AccessResult KrrStack::access_instrumented(std::uint64_t key,
   if (timed) metrics_->update_ns->record(timer->nanos());
   return result;
 }
-#endif
 
 KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t size) {
   AccessResult result{};

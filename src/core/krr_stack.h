@@ -144,7 +144,7 @@ class KrrStack {
   /// length distribution, and a sampled update-latency histogram (every
   /// kTimingStride-th access is timed so the clock reads amortize to
   /// ~nothing). The pointed-to metrics must outlive the stack; pass
-  /// nullptr to detach. No-op when KRR_METRICS is compiled out.
+  /// nullptr to detach.
   void attach_metrics(obs::StackMetrics* metrics) noexcept;
 
   /// Every kTimingStride-th instrumented access reads the clock twice to
@@ -182,9 +182,7 @@ class KrrStack {
   /// slot index and byte trackers from stack_ and sizes_. Returns false if
   /// a key repeats.
   bool rebuild_auxiliary();
-#ifdef KRR_METRICS_ENABLED
   AccessResult access_instrumented(std::uint64_t key, std::uint32_t size);
-#endif
 
   KrrStackConfig config_;
   SwapSampler sampler_;
@@ -199,10 +197,8 @@ class KrrStack {
   std::unique_ptr<ExactByteTracker> exact_bytes_;
   std::optional<std::uint64_t> last_exact_byte_distance_;
   std::uint64_t swaps_performed_ = 0;
-#ifdef KRR_METRICS_ENABLED
   obs::StackMetrics* metrics_ = nullptr;
   std::uint64_t metrics_seq_ = 0;
-#endif
 };
 
 }  // namespace krr

@@ -32,42 +32,32 @@ KrrProfiler::KrrProfiler(const KrrProfilerConfig& config)
       configured_rate_(filter_.rate()) {}
 
 void KrrProfiler::attach_metrics(obs::PipelineMetrics* metrics) noexcept {
-#ifdef KRR_METRICS_ENABLED
   metrics_ = metrics;
   stack_.attach_metrics(metrics != nullptr ? &metrics->stack : nullptr);
-#else
-  (void)metrics;
-#endif
 }
 
 void KrrProfiler::refresh_metrics_gauges() const noexcept {
-#ifdef KRR_METRICS_ENABLED
   if (metrics_ == nullptr) return;
   metrics_->stack_depth->set(static_cast<double>(stack_.depth()));
   metrics_->resident_bytes->set(static_cast<double>(space_overhead_bytes()));
   metrics_->sampling_rate->set(filter_.rate());
   metrics_->histogram_bins->set(static_cast<double>(histogram_.bin_count()));
-#endif
 }
 
 void KrrProfiler::access(const Request& req) {
   ++processed_;
   if (!filter_.sampled(req.key)) {
-#ifdef KRR_METRICS_ENABLED
     if (metrics_ != nullptr) {
       metrics_->accesses->inc();
       metrics_->filter_dropped->inc();
     }
-#endif
     return;
   }
   ++sampled_;
-#ifdef KRR_METRICS_ENABLED
   if (metrics_ != nullptr) {
     metrics_->accesses->inc();
     metrics_->filter_passed->inc();
   }
-#endif
   const auto result = stack_.access(req.key, config_.byte_granularity ? req.size : 1);
   if (result.cold) {
     histogram_.record_infinite();
@@ -102,12 +92,10 @@ bool KrrProfiler::degrade_step() {
   filter_.halve();
   stack_.retain([this](std::uint64_t key) { return filter_.sampled(key); });
   ++degradation_events_;
-#ifdef KRR_METRICS_ENABLED
   if (metrics_ != nullptr) {
     metrics_->degradations->inc();
     metrics_->filter_halvings->inc();
   }
-#endif
   return true;
 }
 

@@ -190,14 +190,14 @@ class KrrProfiler {
   /// Attaches hot-path instrumentation (and the stack's, see
   /// KrrStack::attach_metrics): per-access counters for filter pass/drop,
   /// degradations, and the stack update histograms. The metrics must
-  /// outlive the profiler; nullptr detaches. No-op (and truly zero-cost on
-  /// the access path) when the KRR_METRICS option is compiled out.
+  /// outlive the profiler; nullptr detaches. A detached profiler pays one
+  /// pointer test per access.
   void attach_metrics(obs::PipelineMetrics* metrics) noexcept;
 
   /// Pushes the instantaneous state into the attached metrics' gauges
   /// (stack.depth, stack.resident_bytes, filter.rate, histogram.bins).
   /// Called by heartbeat/export code, not the access path. No-op when
-  /// detached or compiled out.
+  /// detached.
   void refresh_metrics_gauges() const noexcept;
 
  private:
@@ -224,9 +224,7 @@ class KrrProfiler {
   /// Equals processed * R exactly when the rate never changes.
   double expected_sampled_base_ = 0.0;
   std::uint64_t processed_at_rate_change_ = 0;
-#ifdef KRR_METRICS_ENABLED
   obs::PipelineMetrics* metrics_ = nullptr;
-#endif
   double expected_sampled() const noexcept {
     return expected_sampled_base_ +
            static_cast<double>(processed_ - processed_at_rate_change_) *

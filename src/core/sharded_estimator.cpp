@@ -215,12 +215,10 @@ ShardFanout::~ShardFanout() {
 void ShardFanout::route(std::uint32_t index, const Request& req) {
   ++processed_;
   Shard& shard = *shards_[index];
-  if constexpr (obs::kHotPathInstrumentation) {
-    if (metrics_ != nullptr) {
-      metrics_->sharded.enqueued->inc();
-      if ((processed_ & 1023u) == 0) {
-        metrics_->sharded.queue_depth->record(shard.queue.size_approx());
-      }
+  if (metrics_ != nullptr) {
+    metrics_->sharded.enqueued->inc();
+    if ((processed_ & 1023u) == 0) {
+      metrics_->sharded.queue_depth->record(shard.queue.size_approx());
     }
   }
   if (shard.dead.load(std::memory_order_acquire)) {
@@ -260,9 +258,7 @@ void ShardFanout::route(std::uint32_t index, const Request& req) {
   // yield, then bounded sleeps) rather than block on a condvar — stalls
   // are usually transient (a worker mid-batch), but a persistently slow
   // shard must not pin the producer core.
-  if constexpr (obs::kHotPathInstrumentation) {
-    if (metrics_ != nullptr) metrics_->sharded.producer_stalls->inc();
-  }
+  if (metrics_ != nullptr) metrics_->sharded.producer_stalls->inc();
   const std::uint64_t stall_start_ns =
       tracer_ != nullptr ? tracer_->now_ns() : 0;
   const auto trace_stall = [&] {
@@ -290,10 +286,8 @@ void ShardFanout::route(std::uint32_t index, const Request& req) {
       return;
     }
     if (backoff.pause()) {
-      if constexpr (obs::kHotPathInstrumentation) {
-        if (metrics_ != nullptr) {
-          metrics_->sharded.backpressure_sleeps->inc();
-        }
+      if (metrics_ != nullptr) {
+        metrics_->sharded.backpressure_sleeps->inc();
       }
     }
     if (shard.queue.try_push(req)) break;
@@ -352,11 +346,9 @@ void ShardFanout::finish() {
     }
   }
   finished_ = true;
-  if constexpr (obs::kHotPathInstrumentation) {
-    if (metrics_ != nullptr) {
-      metrics_->sharded.stall_seconds->set(stall_seconds_);
-      metrics_->sharded.shard_failures->inc(shards_failed());
-    }
+  if (metrics_ != nullptr) {
+    metrics_->sharded.stall_seconds->set(stall_seconds_);
+    metrics_->sharded.shard_failures->inc(shards_failed());
   }
   // Best-effort recovery extrapolates from the survivors; with none left
   // there is nothing to extrapolate from and the run has truly failed.
@@ -414,14 +406,10 @@ obs::HeartbeatSnapshot ShardFanout::live_aggregate() const {
 }
 
 void ShardFanout::attach_metrics(obs::PipelineMetrics* metrics) noexcept {
-  if constexpr (obs::kHotPathInstrumentation) {
-    metrics_ = metrics;
-    if (metrics_ != nullptr) {
-      metrics_->sharded.shards->set(static_cast<double>(shards_.size()));
-      metrics_->sharded.threads->set(static_cast<double>(worker_count_));
-    }
-  } else {
-    (void)metrics;
+  metrics_ = metrics;
+  if (metrics_ != nullptr) {
+    metrics_->sharded.shards->set(static_cast<double>(shards_.size()));
+    metrics_->sharded.threads->set(static_cast<double>(worker_count_));
   }
 }
 
@@ -597,11 +585,9 @@ bool ShardFanout::try_resurrect(Shard& shard, std::uint32_t index,
       ++shard.resurrections;
       resurrections_.fetch_add(1, std::memory_order_relaxed);
       replayed_records_.fetch_add(pending, std::memory_order_relaxed);
-      if constexpr (obs::kHotPathInstrumentation) {
-        if (metrics_ != nullptr) {
-          metrics_->sharded.resurrections->inc();
-          metrics_->sharded.replayed_records->inc(pending);
-        }
+      if (metrics_ != nullptr) {
+        metrics_->sharded.resurrections->inc();
+        metrics_->sharded.replayed_records->inc(pending);
       }
       shard.publish_live();
       return true;
@@ -791,11 +777,9 @@ MissRatioCurve ShardedEstimator::mrc(const std::vector<double>& sizes) const {
                      tracer->now_ns() - merge_start_ns,
                      {{"shards", static_cast<double>(fanout_.shard_count())}});
   }
-#ifdef KRR_METRICS_ENABLED
   if (pipeline_metrics() != nullptr) {
     pipeline_metrics()->sharded.merge_seconds->set(merge_seconds);
   }
-#endif
   return curve;
 }
 

@@ -248,7 +248,7 @@ class ShardFanout {
   std::uint64_t processed_ = 0;           // producer-side
   double stall_seconds_ = 0.0;            // producer-side
   obs::Tracer* tracer_ = nullptr;         // unconditional: gauge-grade events
-  obs::PipelineMetrics* metrics_ = nullptr;  // touched only when compiled in
+  obs::PipelineMetrics* metrics_ = nullptr;  // touched only when attached
 };
 
 /// Generic sharded execution for the model zoo: wraps any registry model

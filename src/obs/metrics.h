@@ -139,15 +139,11 @@ class MetricsRegistry {
   std::deque<std::pair<std::string, LogHistogram>> histograms_;
 };
 
-/// Whether the hot-path instrumentation was compiled in (the KRR_METRICS
-/// CMake option). When false, attach_metrics() calls are no-ops and the
-/// per-access counters/histograms stay at zero; end-of-run gauges (filled
-/// from public accessors) still work.
-#ifdef KRR_METRICS_ENABLED
+/// Hot-path instrumentation is always compiled in: attach_metrics() wires
+/// per-access counters/histograms at run time, and a detached pipeline pays
+/// one pointer test per access. Kept as a constant for readers that report
+/// it (krr_cli's `instrumentation_compiled_in`, benchmark provenance).
 inline constexpr bool kHotPathInstrumentation = true;
-#else
-inline constexpr bool kHotPathInstrumentation = false;
-#endif
 
 /// The KrrStack-level slice of the pipeline metrics: what the stack update
 /// itself can observe (Fig. 5.4's update-overhead quantities). Plain

@@ -95,10 +95,6 @@ Status parse_trigger(const std::string& spec, Trigger* out) {
 }  // namespace
 
 Status arm(const std::string& plan_spec) {
-  if (!kFaultInjectionCompiledIn) {
-    return invalid_argument_error(
-        "fault injection not compiled in (rebuild with -DKRR_FAULTS=ON)");
-  }
   disarm();
   if (plan_spec.empty()) return Status::ok();
   std::vector<std::unique_ptr<Trigger>> parsed;

@@ -28,11 +28,9 @@ namespace krr::faults {
 /// the same plan against the same run fires at the same instant every
 /// time, which is what lets recovery tests assert bit-identical outcomes.
 ///
-/// The subsystem is compiled in under the KRR_FAULTS CMake option (default
-/// ON, like KRR_METRICS); when compiled out, should_fire()/maybe_fire()
-/// collapse to constant-false inlines and arm() reports kInvalidArgument.
-/// When compiled in but disarmed — the production state — a fault point
-/// costs one relaxed atomic load.
+/// Fault points are always compiled in and armed only at run time. When
+/// disarmed — the production state — a fault point costs one relaxed
+/// atomic load.
 ///
 /// Arming is process-global and not thread-safe against in-flight
 /// should_fire() racing arm(): arm the plan before the run starts (the CLI
@@ -55,15 +53,8 @@ class FaultInjectedError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-#ifdef KRR_FAULTS_ENABLED
-inline constexpr bool kFaultInjectionCompiledIn = true;
-#else
-inline constexpr bool kFaultInjectionCompiledIn = false;
-#endif
-
 /// Parses and arms a trigger plan (replacing any armed plan). Empty plan ==
-/// disarm. kInvalidArgument on a malformed spec or when the subsystem is
-/// compiled out.
+/// disarm. kInvalidArgument on a malformed spec.
 Status arm(const std::string& plan);
 
 /// Drops the armed plan and zeroes all hit/fire accounting.
@@ -82,13 +73,7 @@ inline bool armed() noexcept {
 /// fire. Status-returning call sites (checkpoint writes, trace reads) use
 /// this directly and surface the fault as a typed Status.
 inline bool should_fire(const char* point, std::uint64_t detail = 0) noexcept {
-  if constexpr (!kFaultInjectionCompiledIn) {
-    (void)point;
-    (void)detail;
-    return false;
-  } else {
-    return armed() && detail::should_fire_impl(point, detail);
-  }
+  return armed() && detail::should_fire_impl(point, detail);
 }
 
 /// Throwing form for exception-based call sites (shard workers): fires as a

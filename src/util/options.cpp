@@ -1,6 +1,7 @@
 #include "util/options.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -35,16 +36,33 @@ std::string Options::get_string(const std::string& name, const std::string& def)
   return v ? *v : def;
 }
 
+namespace {
+
+/// Parses all of `text` as a T; a partial parse (trailing junk, "1e2" for an
+/// integer) or an out-of-range value throws, naming the flag.
+template <typename T>
+T parse_whole(const std::string& name, const std::string& text, const char* kind) {
+  T out{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("--" + name + ": bad " + kind + " '" + text + "'");
+  }
+  return out;
+}
+
+}  // namespace
+
 std::int64_t Options::get_int(const std::string& name, std::int64_t def) const {
   auto v = get(name);
   if (!v || v->empty()) return def;
-  return std::stoll(*v);
+  return parse_whole<std::int64_t>(name, *v, "integer");
 }
 
 double Options::get_double(const std::string& name, double def) const {
   auto v = get(name);
   if (!v || v->empty()) return def;
-  return std::stod(*v);
+  return parse_whole<double>(name, *v, "number");
 }
 
 double bench_scale() {

@@ -23,6 +23,8 @@ class Options {
   bool has(const std::string& name) const;
 
   std::string get_string(const std::string& name, const std::string& def) const;
+  /// Numeric values must parse in full; otherwise std::invalid_argument
+  /// naming the flag (e.g. "--n: bad integer '2000x'").
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
 

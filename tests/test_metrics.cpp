@@ -9,11 +9,13 @@
 #include <sstream>
 #include <vector>
 
+#include "core/estimator.h"
 #include "core/profiler.h"
 #include "obs/heartbeat.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "trace/trace_reader.h"
+#include "trace/workload_factory.h"
 #include "trace/zipf.h"
 #include "util/stopwatch.h"
 
@@ -415,7 +417,6 @@ std::vector<Request> zipf_trace(std::size_t n, std::uint64_t footprint,
 }
 
 TEST(ProfilerMetricsTest, CountersMatchProfilerAccounting) {
-  if (!obs::kHotPathInstrumentation) GTEST_SKIP() << "KRR_METRICS is OFF";
   const auto trace = zipf_trace(50000, 5000, 3);
   obs::MetricsRegistry registry;
   obs::PipelineMetrics metrics(registry);
@@ -444,7 +445,6 @@ TEST(ProfilerMetricsTest, CountersMatchProfilerAccounting) {
 }
 
 TEST(ProfilerMetricsTest, SwapCounterMatchesFigure54Instrumentation) {
-  if (!obs::kHotPathInstrumentation) GTEST_SKIP() << "KRR_METRICS is OFF";
   const auto trace = zipf_trace(20000, 2000, 5);
   obs::MetricsRegistry registry;
   obs::PipelineMetrics metrics(registry);
@@ -457,7 +457,6 @@ TEST(ProfilerMetricsTest, SwapCounterMatchesFigure54Instrumentation) {
 }
 
 TEST(ProfilerMetricsTest, DegradationEventsAreCounted) {
-  if (!obs::kHotPathInstrumentation) GTEST_SKIP() << "KRR_METRICS is OFF";
   const auto trace = zipf_trace(80000, 60000, 7);
   obs::MetricsRegistry registry;
   obs::PipelineMetrics metrics(registry);
@@ -473,32 +472,54 @@ TEST(ProfilerMetricsTest, DegradationEventsAreCounted) {
 }
 
 // The observability invariant: attaching metrics must not perturb the
-// model. Same trace, same seed, metrics on vs off — bit-identical MRC.
+// model. Same trace, same seed, metrics attached vs detached — bit-identical
+// MRC, for every instrumented path: the serial stack (unit and byte
+// granularity) and the sharded fan-out.
 TEST(ProfilerMetricsTest, MetricsOnAndOffProduceIdenticalMrc) {
-  const auto trace = zipf_trace(60000, 8000, 11);
-  KrrProfilerConfig cfg;
-  cfg.k_sample = 5;
-  cfg.sampling_rate = 0.5;
-  cfg.seed = 42;
+  WorkloadFactoryOptions wf;
+  wf.seed = 11;
+  wf.footprint = 8000;
+  struct Case {
+    const char* model;
+    const char* options;
+    const char* workload;
+  };
+  for (const Case& c : {Case{"krr", "k=5,rate=0.5,seed=42", "zipf:0.9"},
+                        Case{"krr", "k=5,rate=0.5,seed=42,bytes=1", "msr:web"},
+                        Case{"krr_sharded",
+                             "k=5,rate=0.5,seed=42,shards=4,threads=2",
+                             "zipf:0.9"}}) {
+    SCOPED_TRACE(std::string(c.model) + " " + c.options + " on " + c.workload);
+    auto gen = try_make_workload(c.workload, wf);
+    ASSERT_TRUE(gen.is_ok());
+    const auto trace = materialize(**gen, 60000);
+    auto options = EstimatorOptions::parse(c.options);
+    ASSERT_TRUE(options.is_ok());
+    const auto run = [&](obs::PipelineMetrics* metrics) {
+      auto est = EstimatorRegistry::instance().create(c.model, *options);
+      EXPECT_TRUE(est.is_ok()) << est.status().message();
+      (*est)->attach_metrics(metrics);
+      for (const Request& r : trace) (*est)->access(r);
+      (*est)->finish();
+      return std::pair((*est)->mrc(), (*est)->model_gauges());
+    };
 
-  KrrProfiler plain(cfg);
-  for (const Request& r : trace) plain.access(r);
+    const auto [a, plain] = run(nullptr);
+    obs::MetricsRegistry registry;
+    obs::PipelineMetrics metrics(registry);
+    const auto [b, instrumented] = run(&metrics);
+    EXPECT_GT(metrics.accesses->value() + metrics.sharded.enqueued->value(),
+              0u)
+        << "instrumentation was not exercised";
 
-  obs::MetricsRegistry registry;
-  obs::PipelineMetrics metrics(registry);
-  KrrProfiler instrumented(cfg);
-  instrumented.attach_metrics(&metrics);
-  for (const Request& r : trace) instrumented.access(r);
-
-  const MissRatioCurve a = plain.mrc();
-  const MissRatioCurve b = instrumented.mrc();
-  ASSERT_EQ(a.points().size(), b.points().size());
-  for (std::size_t i = 0; i < a.points().size(); ++i) {
-    EXPECT_EQ(a.points()[i].size, b.points()[i].size);
-    EXPECT_EQ(a.points()[i].miss_ratio, b.points()[i].miss_ratio);
+    ASSERT_EQ(a.points().size(), b.points().size());
+    for (std::size_t i = 0; i < a.points().size(); ++i) {
+      EXPECT_EQ(a.points()[i].size, b.points()[i].size);
+      EXPECT_EQ(a.points()[i].miss_ratio, b.points()[i].miss_ratio);
+    }
+    EXPECT_EQ(plain.depth, instrumented.depth);
+    EXPECT_EQ(plain.samples, instrumented.samples);
   }
-  EXPECT_EQ(plain.stack_depth(), instrumented.stack_depth());
-  EXPECT_EQ(plain.sampled(), instrumented.sampled());
 }
 
 TEST(RunReportTest, ZeroAccessRunReportsConfiguredRate) {

@@ -40,7 +40,6 @@ class FaultPlan : public ::testing::Test {
 };
 
 TEST_F(FaultPlan, RejectsMalformedSpecs) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   for (const char* bad :
        {"bogus", "point@", "@hit=1", "p@hit=", "p@hit=0", "p@every=0",
         "p@never", "p#@hit=1", "p#x@hit=1", "p@hit=18446744073709551616"}) {
@@ -53,7 +52,6 @@ TEST_F(FaultPlan, RejectsMalformedSpecs) {
 }
 
 TEST_F(FaultPlan, HitNFiresExactlyOnceAtTheNthHit) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   ASSERT_TRUE(faults::arm("p@hit=3").is_ok());
   std::vector<bool> fired;
   for (int i = 0; i < 10; ++i) fired.push_back(faults::should_fire("p"));
@@ -65,7 +63,6 @@ TEST_F(FaultPlan, HitNFiresExactlyOnceAtTheNthHit) {
 }
 
 TEST_F(FaultPlan, EveryKFiresPeriodically) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   ASSERT_TRUE(faults::arm("p@every=4").is_ok());
   int fires = 0;
   for (int i = 1; i <= 12; ++i) {
@@ -78,14 +75,12 @@ TEST_F(FaultPlan, EveryKFiresPeriodically) {
 }
 
 TEST_F(FaultPlan, OnceIsHitOne) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   ASSERT_TRUE(faults::arm("p@once").is_ok());
   EXPECT_TRUE(faults::should_fire("p"));
   for (int i = 0; i < 5; ++i) EXPECT_FALSE(faults::should_fire("p"));
 }
 
 TEST_F(FaultPlan, DetailFiltersAndCountsIndependently) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   ASSERT_TRUE(faults::arm("p#2@hit=2").is_ok());
   // Detail 1 hits never match the trigger; detail 2's second hit fires.
   EXPECT_FALSE(faults::should_fire("p", 1));
@@ -96,7 +91,6 @@ TEST_F(FaultPlan, DetailFiltersAndCountsIndependently) {
 }
 
 TEST_F(FaultPlan, MultiTriggerPlansAndBothSeparators) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   ASSERT_TRUE(faults::arm("a@hit=1;b@hit=2,c@every=1").is_ok());
   EXPECT_TRUE(faults::should_fire("a"));
   EXPECT_FALSE(faults::should_fire("b"));
@@ -107,7 +101,6 @@ TEST_F(FaultPlan, MultiTriggerPlansAndBothSeparators) {
 }
 
 TEST_F(FaultPlan, DisarmStopsFiringAndZeroesAccounting) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   ASSERT_TRUE(faults::arm("p@every=1").is_ok());
   EXPECT_TRUE(faults::should_fire("p"));
   faults::disarm();
@@ -118,7 +111,6 @@ TEST_F(FaultPlan, DisarmStopsFiringAndZeroesAccounting) {
 }
 
 TEST_F(FaultPlan, MaybeFireThrowsWithPointAndDetail) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   ASSERT_TRUE(faults::arm("p#7@once").is_ok());
   EXPECT_NO_THROW(faults::maybe_fire("p", 3));
   try {
@@ -376,7 +368,6 @@ class FaultedIo : public ::testing::Test {
 };
 
 TEST_F(FaultedIo, CheckpointWriteFaultSurfacesAsIoError) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   const std::string path = temp_path("ckpt_fault.snap");
   CheckpointHeader header;
   header.config_crc = 1;
@@ -395,7 +386,6 @@ TEST_F(FaultedIo, CheckpointWriteFaultSurfacesAsIoError) {
 }
 
 TEST_F(FaultedIo, GovernorRetriesTransientCheckpointFailures) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   auto est = EstimatorRegistry::instance().create("krr", {});
   ASSERT_TRUE(est.is_ok());
   RunGovernorConfig cfg;
@@ -422,7 +412,6 @@ TEST_F(FaultedIo, GovernorRetriesTransientCheckpointFailures) {
 }
 
 TEST_F(FaultedIo, GovernorStillAbortsWhenRetriesExhaust) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   auto est = EstimatorRegistry::instance().create("krr", {});
   ASSERT_TRUE(est.is_ok());
   RunGovernorConfig cfg;
@@ -450,7 +439,6 @@ TEST_F(FaultedIo, GovernorStillAbortsWhenRetriesExhaust) {
 }
 
 TEST_F(FaultedIo, LoadTraceFileRetriesInjectedReadFaults) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   ZipfianGenerator gen(100, 0.9, 7, true);
   const auto trace = materialize(gen, 500);
   const std::string path = temp_path("read_fault.bin");
@@ -471,7 +459,6 @@ TEST_F(FaultedIo, LoadTraceFileRetriesInjectedReadFaults) {
 }
 
 TEST_F(FaultedIo, LoadTraceFileFailsWhenReadRetriesExhaust) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   ZipfianGenerator gen(100, 0.9, 7, true);
   const auto trace = materialize(gen, 200);
   const std::string path = temp_path("read_fault_exhaust.bin");
@@ -490,7 +477,6 @@ TEST_F(FaultedIo, LoadTraceFileFailsWhenReadRetriesExhaust) {
 }
 
 TEST_F(FaultedIo, CorruptInputIsNeverRetried) {
-  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
   // Retrying can only help transient I/O; a checksum mismatch is a
   // property of the bytes and must fail on the first attempt even with a
   // generous retry budget.

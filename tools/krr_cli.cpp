@@ -153,6 +153,14 @@ void print_usage(std::FILE* to) {
 
 [[noreturn]] void usage(const std::string& error) { throw UsageError(error); }
 
+/// A record or object count flag: negative is a usage error.
+std::uint64_t count_flag(const Options& opts, const std::string& name,
+                         std::int64_t def) {
+  const auto v = opts.get_int(name, def);
+  if (v < 0) usage("--" + name + " must be >= 0");
+  return static_cast<std::uint64_t>(v);
+}
+
 TraceReaderOptions reader_options(const Options& opts) {
   TraceReaderOptions ro;
   ro.policy = RecoveryPolicy::kSkipAndCount;
@@ -224,11 +232,11 @@ std::vector<Request> load_input(const Options& opts, TraceReadReport* ingest,
   if (spec.empty()) usage("need --trace=<file> or --workload=<spec>");
   WorkloadFactoryOptions wf;
   wf.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  wf.footprint = static_cast<std::uint64_t>(opts.get_int("footprint", 0));
+  wf.footprint = count_flag(opts, "footprint", 0);
   wf.uniform_size = static_cast<std::uint32_t>(opts.get_int("uniform-size", 0));
   auto gen = try_make_workload(spec, wf);
   if (!gen.is_ok()) usage(gen.status().message());
-  const auto n = static_cast<std::size_t>(opts.get_int("n", 1000000));
+  const auto n = static_cast<std::size_t>(count_flag(opts, "n", 1000000));
   return materialize(**gen, n);
 }
 
@@ -863,16 +871,14 @@ std::unique_ptr<RequestSource> make_source(const Options& opts) {
   if (spec.empty()) usage("need --trace=<file> or --workload=<spec>");
   WorkloadFactoryOptions wf;
   wf.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  wf.footprint = static_cast<std::uint64_t>(opts.get_int("footprint", 0));
+  wf.footprint = count_flag(opts, "footprint", 0);
   wf.uniform_size = static_cast<std::uint32_t>(opts.get_int("uniform-size", 0));
   // Validate the spec eagerly so a typo is a usage error before pass 1.
   if (auto gen = try_make_workload(spec, wf); !gen.is_ok()) {
     usage(gen.status().message());
   }
-  const auto n = opts.get_int("n", 1000000);
-  if (n < 0) usage("--n must be >= 0");
   return std::make_unique<GeneratorSource>(spec, wf,
-                                           static_cast<std::uint64_t>(n));
+                                           count_flag(opts, "n", 1000000));
 }
 
 int cmd_compare(const Options& opts) {

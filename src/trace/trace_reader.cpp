@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -206,7 +207,7 @@ bool TraceReader::next(Request& out) {
   if (state_ == State::kUnopened) open();
   if (state_ == State::kError) return false;
   // Injected transient read faults surface as the same kIoError a flaky
-  // filesystem would, so load_trace_file's retry loop is exercised for real.
+  // filesystem would, so stream_trace_file's retry loop is exercised for real.
   if (faults::should_fire(faults::kTraceRead)) {
     return fail(io_error("injected transient trace read fault after record " +
                          std::to_string(report_.records_read)));
@@ -460,33 +461,66 @@ StatusOr<std::vector<Request>> read_trace(std::istream& is,
   return trace;
 }
 
-StatusOr<std::vector<Request>> load_trace_file(const std::string& path,
-                                               const TraceReaderOptions& options,
-                                               TraceReadReport* report) {
-  // kIoError is the one transient failure class here (open races, flaky
-  // network filesystems, injected trace.read faults): the file is restarted
-  // from scratch under read_retry, since a mid-stream reader cannot resume.
-  // Every other status is a property of the bytes and retrying is useless.
+Status stream_trace_file(const std::string& path,
+                         const TraceReaderOptions& options, std::uint64_t skip,
+                         const TraceBlockSink& sink, TraceReadReport* report) {
+  std::vector<Request> block;
+  block.reserve(kStreamBlockRecords);
+  // Records skipped or handed over so far: a reopened read discards these.
+  std::uint64_t consumed = skip;
   std::uint64_t retries = 0;
   for (unsigned attempt = 1;; ++attempt) {
-    StatusOr<std::vector<Request>> result = [&]() -> StatusOr<std::vector<Request>> {
+    const Status status = [&]() -> Status {
       std::ifstream is(path, std::ios::binary);
       if (!is) return io_error("cannot open for read: " + path);
-      return read_trace(is, options, report);
+      TraceReader reader(is, options);
+      std::uint64_t position = 0;  // records read by this attempt
+      Request r;
+      for (bool more = true; more;) {
+        block.clear();
+        while (block.size() < kStreamBlockRecords && (more = reader.next(r))) {
+          if (position++ >= consumed) block.push_back(r);
+        }
+        if (!reader.status().is_ok() || block.empty()) break;
+        consumed = position;
+        if (!sink(block)) break;
+      }
+      if (report != nullptr) *report = reader.report();
+      return reader.status();
     }();
-    const bool transient =
-        !result.is_ok() && result.status().code() == StatusCode::kIoError;
-    if (!transient || attempt >= options.read_retry.max_attempts) {
+    if (status.code() != StatusCode::kIoError ||
+        attempt >= options.read_retry.max_attempts) {
       if (report != nullptr) report->read_retries = retries;
-      return result;
+      return status;
     }
     ++retries;
     if (options.tracer != nullptr) {
       options.tracer->instant("ingest.read_retry", "ingest", 0,
-                              {{"attempt", static_cast<double>(attempt)}});
+                              {{"attempt", static_cast<double>(attempt)},
+                               {"resume_at", static_cast<double>(consumed)}});
     }
     options.read_retry.sleep(attempt);
   }
+}
+
+StatusOr<std::vector<Request>> load_trace_file(const std::string& path,
+                                               const TraceReaderOptions& options,
+                                               TraceReadReport* report) {
+  std::vector<Request> trace;
+  // Reserve from the file size, which bounds the record count, never from
+  // the header's claim (a hostile count must not OOM the process).
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+  if (!ec) trace.reserve(static_cast<std::size_t>(bytes / c::kRecordBytes));
+  const Status status = stream_trace_file(
+      path, options, 0,
+      [&trace](std::span<const Request> block) {
+        trace.insert(trace.end(), block.begin(), block.end());
+        return true;
+      },
+      report);
+  if (!status.is_ok()) return status;
+  return trace;
 }
 
 void write_trace_binary_v2(std::ostream& os, const std::vector<Request>& trace,

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,11 +53,12 @@ struct TraceReaderOptions {
   /// Corruption events are rare by construction, so these are emitted
   /// inline, not stride-gated. Non-owning; may be null.
   obs::Tracer* tracer = nullptr;
-  /// load_trace_file only: kIoError results (open races, flaky mounts,
-  /// injected trace.read faults) restart the whole read under this policy.
-  /// The default (max_attempts = 1) keeps the old fail-fast behavior;
-  /// every restart is counted in TraceReadReport::read_retries and traced
-  /// as an ingest.read_retry instant.
+  /// File reads (stream_trace_file, load_trace_file): a kIoError (open
+  /// races, flaky mounts, injected trace.read faults) reopens the file under
+  /// this policy and resumes after the last record delivered. The default
+  /// (max_attempts = 1) keeps the old fail-fast behavior; every reopen is
+  /// counted in TraceReadReport::read_retries and traced as an
+  /// ingest.read_retry instant.
   RetryPolicy read_retry{.max_attempts = 1};
 };
 
@@ -70,7 +74,7 @@ struct TraceReadReport {
   std::uint64_t bytes_discarded = 0;   ///< bytes consumed by resync scans
   std::uint64_t declared_records = 0;  ///< the header's record count claim
   std::uint32_t format_version = 0;    ///< 1 or 2 once the header parsed
-  std::uint64_t read_retries = 0;      ///< whole-file retries (load_trace_file)
+  std::uint64_t read_retries = 0;      ///< file reopens (stream_trace_file)
   bool truncated_tail = false;         ///< stream ended before declared end
 };
 
@@ -147,7 +151,28 @@ StatusOr<std::vector<Request>> read_trace(std::istream& is,
                                           const TraceReaderOptions& options = {},
                                           TraceReadReport* report = nullptr);
 
-/// File wrapper around read_trace; adds kIoError for open failures.
+/// Records per block handed to a TraceBlockSink (1 MiB of Requests): big
+/// enough that per-block costs vanish per record, small enough that a
+/// streamed profile stays O(model) in memory.
+inline constexpr std::size_t kStreamBlockRecords = 65536;
+
+/// Receives one block of consecutive records, valid only during the call;
+/// returns false to stop the stream.
+using TraceBlockSink = std::function<bool(std::span<const Request>)>;
+
+/// Streams a binary trace file to `sink` in full blocks (the last may be
+/// short), after skipping its first `skip` records; a failed read hands
+/// over no part of its last block. A kIoError reopens the file under
+/// options.read_retry and resumes after the last record delivered, so the
+/// sink sees every record once; other errors are properties of the bytes
+/// and end the stream. The report covers the last attempt (records_read
+/// includes the skipped records) plus read_retries.
+Status stream_trace_file(const std::string& path,
+                         const TraceReaderOptions& options, std::uint64_t skip,
+                         const TraceBlockSink& sink,
+                         TraceReadReport* report = nullptr);
+
+/// Collects stream_trace_file into one vector.
 StatusOr<std::vector<Request>> load_trace_file(const std::string& path,
                                                const TraceReaderOptions& options = {},
                                                TraceReadReport* report = nullptr);

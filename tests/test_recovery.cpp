@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -473,6 +474,45 @@ TEST_F(FaultedIo, LoadTraceFileFailsWhenReadRetriesExhaust) {
   const auto result = load_trace_file(path, options);
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+TEST_F(FaultedIo, StreamTraceFileResumesAfterTheLastDeliveredRecord) {
+  // Two stream blocks and a tail. hit=N fails the Nth record read: N =
+  // block + 1 lands on the first block boundary, N = block + 1000 inside the
+  // second block, after part of it was decoded but not handed over.
+  ZipfianGenerator gen(5000, 0.9, 7, true);
+  const auto trace = materialize(gen, 2 * kStreamBlockRecords + 1000);
+  const std::string path = temp_path("stream_fault.bin");
+  {
+    std::ofstream os(path, std::ios::binary);
+    write_trace_binary_v2(os, trace);
+  }
+  for (const std::size_t hit :
+       {kStreamBlockRecords + 1, kStreamBlockRecords + 1000}) {
+    SCOPED_TRACE(hit);
+    faults::disarm();
+    ASSERT_TRUE(faults::arm("trace.read@hit=" + std::to_string(hit)).is_ok());
+    TraceReaderOptions options;
+    options.read_retry.max_attempts = 2;
+    options.read_retry.base_delay_ms = 0.0;
+    TraceReadReport report;
+    std::vector<Request> delivered;
+    std::size_t blocks = 0;
+    const Status status = stream_trace_file(
+        path, options, 0,
+        [&](std::span<const Request> block) {
+          ++blocks;
+          delivered.insert(delivered.end(), block.begin(), block.end());
+          return true;
+        },
+        &report);
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    EXPECT_EQ(delivered, trace);  // every record once, in order
+    EXPECT_EQ(blocks, 3u);
+    EXPECT_EQ(report.read_retries, 1u);
+    EXPECT_EQ(report.records_read, trace.size());
+  }
   std::remove(path.c_str());
 }
 

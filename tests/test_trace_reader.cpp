@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "trace/generator.h"
@@ -310,6 +315,46 @@ TEST(TraceFiles, SaveV2LoadsBackAndV1StillWritable) {
   EXPECT_EQ(load_trace(path), trace);
   save_trace(path, trace, TraceFormat::kV1);
   EXPECT_EQ(load_trace(path), trace);
+  std::remove(path.c_str());
+}
+
+TEST(StreamTraceFile, SkipsAPrefixAndStopsWhenTheSinkDeclines) {
+  const auto trace = make_trace(kStreamBlockRecords + 5000);
+  const std::string path = ::testing::TempDir() + "stream_skip.bin";
+  {
+    std::ofstream os(path, std::ios::binary);
+    write_trace_binary_v2(os, trace);
+  }
+  const auto collect = [&](std::uint64_t skip, std::size_t max_blocks,
+                           TraceReadReport* report) {
+    std::vector<std::size_t> sizes;
+    std::vector<Request> delivered;
+    const Status status = stream_trace_file(
+        path, {}, skip,
+        [&](std::span<const Request> block) {
+          sizes.push_back(block.size());
+          delivered.insert(delivered.end(), block.begin(), block.end());
+          return sizes.size() < max_blocks;
+        },
+        report);
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+    return std::make_pair(sizes, delivered);
+  };
+  TraceReadReport report;
+  // Skipped records fill no block: the first block starts at record 3000.
+  auto [sizes, delivered] = collect(3000, 10, &report);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{kStreamBlockRecords, 2000}));
+  EXPECT_EQ(delivered,
+            std::vector<Request>(trace.begin() + 3000, trace.end()));
+  EXPECT_EQ(report.records_read, trace.size());
+  // A declining sink ends the stream after its block.
+  std::tie(sizes, delivered) = collect(0, 1, &report);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{kStreamBlockRecords}));
+  EXPECT_EQ(report.records_read, kStreamBlockRecords);
+  // A skip past the end delivers nothing and reports the real length.
+  std::tie(sizes, delivered) = collect(trace.size() + 1, 10, &report);
+  EXPECT_TRUE(sizes.empty());
+  EXPECT_EQ(report.records_read, trace.size());
   std::remove(path.c_str());
 }
 

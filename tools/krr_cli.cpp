@@ -32,18 +32,20 @@
 // through that adapter whenever the flags are given — including at S=1
 // T=1, where the adapter's output is byte-identical to the serial model —
 // and models without one reject the flags as a usage error. `compare`
-// accepts the same flags and applies the routing to every model in
-// --models (display names stay the base names).
+// applies the same routing (one resolver) to every model in --models
+// (display names stay the base names).
 //   krr_cli simulate --trace=trace.bin --policy=klru --k=5 --sizes=20
 //   krr_cli compare  --trace=trace.bin --models=krr,shards,aet --k=5
 //                    [--sizes=20] [--rate=] [--strategy=] [--no-correction]
 //                    [--quantum=] [--format=table|csv|json] [--progress]
 //                    [--convergence-out=FILE] [--convergence-every=N]
 //
-// compare streams the input twice (no full-trace buffering): pass 1 feeds
-// every requested estimator, pass 2 runs the ground-truth K-LRU simulation
-// at each grid size, then a per-model MAE is reported. File inputs are
-// re-read per pass; workload inputs are re-generated from the same seed.
+// Every command streams its input in 64Ki-record blocks through one reader
+// (a transient read error reopens the file and resumes after the last
+// record delivered). profile makes one pass, holding the model but never
+// the trace; compare makes two: pass 1 feeds every requested estimator,
+// pass 2 runs the ground-truth K-LRU simulation at each grid size, then a
+// per-model MAE is reported. generate and simulate collect their pass.
 //
 // Observability: --metrics-out writes the full telemetry snapshot
 // (counters, log-scale histograms, phase timings, run report) as JSON (or
@@ -58,8 +60,9 @@
 // curves against the final truth, producing MAE-vs-records series.
 //
 // Every subcommand also accepts --workload=<spec> --n=<count> in place of
-// --trace, generating the trace on the fly (--seed, --footprint,
-// --uniform-size configure the generator).
+// --trace, generating the trace block by block on the fly (--seed,
+// --footprint, --uniform-size configure the generator; a second pass
+// regenerates it from the same seed).
 //
 // Trace ingestion is fault tolerant by default: damaged records and blocks
 // are skipped and counted (up to --max-bad-records, default 1024), and the
@@ -90,10 +93,10 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -177,11 +180,10 @@ TraceReaderOptions reader_options(const Options& opts) {
     }
   }
   if (opts.has("strict")) ro.policy = RecoveryPolicy::kStrict;
-  const auto budget = opts.get_int("max-bad-records", 1024);
-  if (budget < 0) usage("--max-bad-records must be >= 0");
-  ro.max_bad_records = static_cast<std::uint64_t>(budget);
-  // Transient (kIoError) reads restart the whole file; the default of 3
-  // attempts rides out open races and injected trace.read faults.
+  ro.max_bad_records = count_flag(opts, "max-bad-records", 1024);
+  // A transient (kIoError) read reopens the file and resumes after the last
+  // record delivered; the default of 3 attempts rides out open races and
+  // injected trace.read faults.
   const auto read_retries = opts.get_int("read-retries", 3);
   if (read_retries < 1) usage("--read-retries must be >= 1");
   ro.read_retry.max_attempts = static_cast<unsigned>(read_retries);
@@ -203,41 +205,123 @@ void report_ingest(const TraceReadReport& report) {
                report.truncated_tail ? ", truncated tail" : "");
 }
 
-std::vector<Request> load_input(const Options& opts, TraceReadReport* ingest,
-                                obs::Tracer* tracer = nullptr) {
+/// Hands records [skip, n) of a sequential source to `sink` in blocks of
+/// kStreamBlockRecords; returns how many records it drew from `next`.
+template <class Next>
+std::uint64_t feed_blocks(std::uint64_t n, std::uint64_t skip, Next&& next,
+                          const TraceBlockSink& sink) {
+  std::uint64_t drawn = 0;
+  for (; drawn < std::min(skip, n); ++drawn) next();
+  std::vector<Request> block;
+  while (drawn < n) {
+    block.clear();
+    for (; drawn < n && block.size() < kStreamBlockRecords; ++drawn) {
+      block.push_back(next());
+    }
+    if (!sink(block)) break;
+  }
+  return drawn;
+}
+
+/// The one input path of every subcommand. Streams --trace (a binary trace
+/// through stream_trace_file; a CSV trace, which `generate --out=x.csv`
+/// writes, parsed once) or --workload (--n generated records) to `sink` in
+/// blocks of kStreamBlockRecords, after skipping the first `skip` records:
+/// the ones a --resume-from checkpoint already processed. Prints the
+/// ingest summary; a failed read, or an input shorter than `skip`, throws.
+TraceReadReport stream_input(const Options& opts, std::uint64_t skip,
+                             const TraceBlockSink& sink,
+                             obs::Tracer* tracer = nullptr) {
   // Validate the recovery flags even when the input is generated rather than
   // read from disk — a typo'd --recovery= must be a usage error either way.
   TraceReaderOptions ro = reader_options(opts);
   ro.tracer = tracer;
-  if (auto path = opts.get("trace"); path && !path->empty()) {
-    TraceReadReport report;
-    // generate --out=x.csv writes CSV, so --trace=x.csv reads it back; the
-    // recovery policy applies to malformed rows just like binary damage.
-    if (path->size() > 4 && path->substr(path->size() - 4) == ".csv") {
-      std::ifstream is(*path);
-      if (!is) throw StatusError(io_error("cannot open for read: " + *path));
-      auto csv = read_trace_csv(is, ro, &report);
-      report_ingest(report);
-      if (!csv.is_ok()) throw StatusError(csv.status());
-      if (ingest) *ingest = report;
-      return std::move(csv).value();
-    }
-    auto result = load_trace_file(*path, ro, &report);
+  TraceReadReport report;
+  const std::string path = opts.get_string("trace", "");
+  if (path.size() > 4 && path.ends_with(".csv")) {
+    std::ifstream is(path);
+    if (!is) throw StatusError(io_error("cannot open for read: " + path));
+    // The recovery policy applies to malformed rows just like binary damage.
+    auto csv = read_trace_csv(is, ro, &report);
     report_ingest(report);
-    if (!result.is_ok()) throw StatusError(result.status());
-    if (ingest) *ingest = report;
-    return std::move(result).value();
+    if (!csv.is_ok()) throw StatusError(csv.status());
+    std::size_t i = 0;
+    feed_blocks(csv->size(), skip, [&] { return (*csv)[i++]; }, sink);
+  } else if (!path.empty()) {
+    const Status status = stream_trace_file(path, ro, skip, sink, &report);
+    report_ingest(report);
+    if (!status.is_ok()) throw StatusError(status);
+  } else {
+    const std::string spec = opts.get_string("workload", "");
+    if (spec.empty()) usage("need --trace=<file> or --workload=<spec>");
+    WorkloadFactoryOptions wf;
+    wf.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+    wf.footprint = count_flag(opts, "footprint", 0);
+    wf.uniform_size =
+        static_cast<std::uint32_t>(count_flag(opts, "uniform-size", 0));
+    const std::uint64_t n = count_flag(opts, "n", 1000000);
+    auto gen = try_make_workload(spec, wf);
+    if (!gen.is_ok()) usage(gen.status().message());
+    report.records_read =
+        feed_blocks(n, skip, [&] { return (*gen)->next(); }, sink);
   }
-  const std::string spec = opts.get_string("workload", "");
-  if (spec.empty()) usage("need --trace=<file> or --workload=<spec>");
-  WorkloadFactoryOptions wf;
-  wf.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  wf.footprint = count_flag(opts, "footprint", 0);
-  wf.uniform_size = static_cast<std::uint32_t>(opts.get_int("uniform-size", 0));
-  auto gen = try_make_workload(spec, wf);
-  if (!gen.is_ok()) usage(gen.status().message());
-  const auto n = static_cast<std::size_t>(count_flag(opts, "n", 1000000));
-  return materialize(**gen, n);
+  if (report.records_read < skip) {
+    throw StatusError(bad_record_error(
+        "checkpoint claims " + std::to_string(skip) +
+        " records already processed but the input has only " +
+        std::to_string(report.records_read)));
+  }
+  return report;
+}
+
+/// One pass collected into memory, for the commands that need the whole
+/// trace: generate (the v2 header carries the count) and simulate (the
+/// sweeps replay it once per capacity).
+std::vector<Request> collect_input(const Options& opts) {
+  std::vector<Request> trace;
+  stream_input(opts, 0, [&trace](std::span<const Request> block) {
+    trace.insert(trace.end(), block.begin(), block.end());
+    return true;
+  });
+  return trace;
+}
+
+bool is_sharded_model(const std::string& name) {
+  return name.size() > 8 && name.ends_with("_sharded");
+}
+
+/// The --threads/--shards routing of `profile` and `compare`. For krr the
+/// historical contract holds: --threads=1 --shards=1 stays on the serial
+/// profiler (bit-identical output) and T > 1 or S > 1 selects krr_sharded.
+/// Any other model is mapped onto its registry `<model>_sharded` adapter
+/// whenever the flags are given — even at S=1/T=1, so the adapter's serial
+/// path is directly comparable to the base model — and rejected when no
+/// adapter exists. A sharded model gets the fan-out geometry in `eopts`
+/// unless --model-opts already set it.
+std::string resolve_model(const Options& opts, const std::string& name,
+                          EstimatorOptions& eopts) {
+  const auto threads = opts.get_int("threads", 1);
+  if (threads < 1) usage("--threads must be >= 1");
+  // --shards defaults to one shard per worker thread.
+  const std::uint64_t shards_opt = count_flag(opts, "shards", 0);
+  const std::uint64_t shards =
+      shards_opt == 0 ? static_cast<std::uint64_t>(threads) : shards_opt;
+  std::string model = name;
+  if (model == "krr") {
+    if (threads > 1 || shards > 1) model = "krr_sharded";
+  } else if (!is_sharded_model(model) &&
+             (opts.has("threads") || opts.has("shards"))) {
+    model += "_sharded";
+    if (!EstimatorRegistry::instance().contains(model)) {
+      usage("--threads/--shards: model '" + name +
+            "' has no sharded adapter (see krr_cli models)");
+    }
+  }
+  if (is_sharded_model(model)) {
+    if (!eopts.has("threads")) eopts.set("threads", std::to_string(threads));
+    if (!eopts.has("shards")) eopts.set("shards", std::to_string(shards));
+  }
+  return model;
 }
 
 /// Maps the shared CLI flags onto the common EstimatorOptions keys. Only
@@ -253,9 +337,8 @@ EstimatorOptions estimator_options_from(const Options& opts) {
   if (opts.has("bytes")) eo.set("bytes", "1");
   if (opts.has("no-correction")) eo.set("correction", "0");
   if (opts.has("max-stack-mb")) {
-    const auto mb = opts.get_int("max-stack-mb", 0);
-    if (mb < 0) usage("--max-stack-mb must be >= 0");
-    eo.set("max_stack_bytes", std::to_string(static_cast<std::uint64_t>(mb) << 20));
+    eo.set("max_stack_bytes",
+           std::to_string(count_flag(opts, "max-stack-mb", 0) << 20));
   }
   const std::string extra_spec = opts.get_string("model-opts", "");
   if (!extra_spec.empty()) {
@@ -360,7 +443,7 @@ int cmd_generate(const Options& opts) {
   if (out.empty()) usage("generate needs --out=<file>");
   const std::string format = opts.get_string("format", "v2");
   if (format != "v1" && format != "v2") usage("unknown --format (use v1 or v2)");
-  const auto trace = load_input(opts, nullptr);
+  const auto trace = collect_input(opts);
   if (out.size() > 4 && out.substr(out.size() - 4) == ".csv") {
     std::ofstream os(out);
     if (!os) throw StatusError(io_error("cannot open " + out));
@@ -411,52 +494,9 @@ int cmd_profile(const Options& opts) {
   if (!trace_out.empty()) tracer_storage.emplace();
   obs::Tracer* tracer = tracer_storage ? &*tracer_storage : nullptr;
 
-  double phase_load = 0.0, phase_profile = 0.0, phase_mrc = 0.0,
-         phase_output = 0.0;
-  TraceReadReport ingest;
-  std::vector<Request> trace;
-  {
-    obs::ScopedTraceSpan span(tracer, "phase.ingest", "phase");
-    ScopedTimer timer(phase_load);
-    trace = load_input(opts, &ingest, tracer);
-  }
-
-  std::string model = opts.get_string("model", "krr");
   EstimatorOptions eopts = estimator_options_from(opts);
-  const auto threads_opt = opts.get_int("threads", 1);
-  if (threads_opt < 1) usage("--threads must be >= 1");
-  const auto shards_opt = opts.get_int("shards", 0);
-  if (shards_opt < 0) usage("--shards must be >= 1");
-  const auto threads = static_cast<unsigned>(threads_opt);
-  // --shards defaults to one shard per worker thread.
-  const auto shards = shards_opt == 0 ? static_cast<std::uint32_t>(threads)
-                                      : static_cast<std::uint32_t>(shards_opt);
-  // The fan-out flags route the run through the sharded pipeline. For krr
-  // the historical contract holds: --threads=1 --shards=1 stays on the
-  // serial profiler (bit-identical output). Any other model is mapped onto
-  // its registry `<model>_sharded` adapter whenever the flags are given —
-  // even at S=1/T=1, so the adapter's serial path is directly comparable
-  // to the base model — and rejected when no adapter exists.
-  const bool fanout_flags = opts.has("threads") || opts.has("shards");
-  const auto is_sharded_model = [](const std::string& name) {
-    return name.size() > 8 &&
-           name.compare(name.size() - 8, 8, "_sharded") == 0;
-  };
-  if (model == "krr" || model == "krr_sharded") {
-    if (threads > 1 || shards > 1) model = "krr_sharded";
-  } else if (!is_sharded_model(model) &&
-             (fanout_flags || threads > 1 || shards > 1)) {
-    const std::string mapped = model + "_sharded";
-    if (!EstimatorRegistry::instance().contains(mapped)) {
-      usage("--threads/--shards: model '" + model +
-            "' has no sharded adapter (see krr_cli models)");
-    }
-    model = mapped;
-  }
-  if (is_sharded_model(model)) {
-    if (!eopts.has("threads")) eopts.set("threads", std::to_string(threads));
-    if (!eopts.has("shards")) eopts.set("shards", std::to_string(shards));
-  }
+  const std::string model =
+      resolve_model(opts, opts.get_string("model", "krr"), eopts);
   // Worker-failure policy, in operator vocabulary: off = fail the run
   // (strict), replay = resurrect from mini-checkpoint + journal, rescale =
   // drop the shard and extrapolate from survivors (best_effort).
@@ -496,8 +536,8 @@ int cmd_profile(const Options& opts) {
   // Run-lifecycle governance flags.
   const std::string checkpoint_out = opts.get_string("checkpoint-out", "");
   const std::string resume_from = opts.get_string("resume-from", "");
-  const auto checkpoint_every = opts.get_int("checkpoint-every", 0);
-  if (checkpoint_every < 0) usage("--checkpoint-every must be >= 0");
+  const std::uint64_t checkpoint_every =
+      count_flag(opts, "checkpoint-every", 0);
   if (checkpoint_every > 0 && checkpoint_out.empty()) {
     usage("--checkpoint-every needs --checkpoint-out=<path>");
   }
@@ -522,12 +562,6 @@ int cmd_profile(const Options& opts) {
       usage("checkpoint " + resume_from +
             " was written under a different model/option configuration and "
             "cannot resume this run");
-    }
-    if (header->records > trace.size()) {
-      throw StatusError(bad_record_error(
-          "checkpoint claims " + std::to_string(header->records) +
-          " records already processed but the input has only " +
-          std::to_string(trace.size())));
     }
     if (Status s = est->load_state(payload); !s.is_ok()) throw StatusError(s);
     resume_offset = header->records;
@@ -558,7 +592,7 @@ int cmd_profile(const Options& opts) {
   gcfg.max_stack_bytes =
       static_cast<std::uint64_t>(eopts.get_int("max_stack_bytes", 0));
   gcfg.deadline_secs = deadline_secs;
-  gcfg.checkpoint_every = static_cast<std::uint64_t>(checkpoint_every);
+  gcfg.checkpoint_every = checkpoint_every;
   const auto checkpoint_retries = opts.get_int("checkpoint-retries", 3);
   if (checkpoint_retries < 1) usage("--checkpoint-retries must be >= 1");
   gcfg.checkpoint_retry.max_attempts =
@@ -589,33 +623,59 @@ int cmd_profile(const Options& opts) {
                      tracer);
   }
 
+  // One streaming pass. The phase.ingest spans are the block decodes,
+  // timed between the sink's calls; phase.load_seconds sums them and
+  // phase.profile_seconds excludes them.
+  double phase_load = 0.0, phase_profile = 0.0, phase_mrc = 0.0,
+         phase_output = 0.0;
+  Stopwatch clock;
+  std::uint64_t decode_start = 0;  // clock.nanos() as the decode began
+  const auto end_decode = [&] {
+    const std::uint64_t ns = clock.nanos() - decode_start;
+    phase_load += static_cast<double>(ns) / 1e9;
+    if (tracer != nullptr) {
+      tracer->complete("phase.ingest", "phase", 0, tracer->now_ns() - ns, ns);
+    }
+  };
   bool deadline_partial = false;
   std::uint64_t fed = resume_offset;
+  TraceReadReport ingest;
   MissRatioCurve mrc;
   {
     ScopedTimer timer(phase_profile);
     {
       obs::ScopedTraceSpan span(tracer, "phase.profile", "phase");
-      for (std::size_t i = resume_offset; i < trace.size(); ++i) {
-        est->access(trace[i]);
-        ++fed;
-        if (governor && !governor->on_access()) {
-          deadline_partial = true;
-          break;
-        }
-        if (heartbeat) {
-          heartbeat->tick([&] {
-            est->refresh_metrics_gauges();
-            return est->snapshot();
-          });
-        }
-      }
+      clock.reset();  // the first decode starts inside phase.profile
+      ingest = stream_input(
+          opts, resume_offset,
+          [&](std::span<const Request> block) {
+            end_decode();
+            for (const Request& r : block) {
+              est->access(r);
+              ++fed;
+              if (governor && !governor->on_access()) {
+                deadline_partial = true;
+                return false;
+              }
+              if (heartbeat) {
+                heartbeat->tick([&] {
+                  est->refresh_metrics_gauges();
+                  return est->snapshot();
+                });
+              }
+            }
+            decode_start = clock.nanos();
+            return true;
+          },
+          tracer);
+      if (!deadline_partial) end_decode();
     }
     obs::ScopedTraceSpan span(tracer, "phase.finish", "phase");
     est->finish();
     if (governor) governor->finalize();
     if (heartbeat) heartbeat->finish(est->snapshot());
   }
+  phase_profile -= phase_load;
   // A final snapshot so the checkpoint file always reflects the last state
   // (completed or deadline-cut), ready for a later resume.
   if (!checkpoint_out.empty()) {
@@ -707,22 +767,23 @@ int cmd_profile(const Options& opts) {
     // --model-opts can override the fan-out geometry, so report the
     // effective values the estimator was built with, not the raw flags.
     std::fprintf(stderr,
-                 "profiled %zu requests (%zu sampled) in %.3f s across %lld "
+                 "profiled %llu requests (%zu sampled) in %.3f s across %lld "
                  "shards on %lld threads with model %s; stack depth %zu\n",
-                 trace.size(), static_cast<std::size_t>(final_state.sampled),
-                 secs,
-                 static_cast<long long>(eopts.get_int("shards", shards)),
-                 static_cast<long long>(eopts.get_int("threads", threads)),
+                 static_cast<unsigned long long>(fed),
+                 static_cast<std::size_t>(final_state.sampled), secs,
+                 static_cast<long long>(eopts.get_int("shards", 1)),
+                 static_cast<long long>(eopts.get_int("threads", 1)),
                  model.c_str(),
                  static_cast<std::size_t>(final_state.stack_depth));
   } else if (model == "krr") {
     std::fprintf(stderr,
-                 "profiled %zu requests (%zu sampled) in %.3f s; stack depth %zu\n",
-                 trace.size(), static_cast<std::size_t>(final_state.sampled),
-                 secs, static_cast<std::size_t>(final_state.stack_depth));
+                 "profiled %llu requests (%zu sampled) in %.3f s; stack depth %zu\n",
+                 static_cast<unsigned long long>(fed),
+                 static_cast<std::size_t>(final_state.sampled), secs,
+                 static_cast<std::size_t>(final_state.stack_depth));
   } else {
-    std::fprintf(stderr, "profiled %zu requests in %.3f s with model %s\n",
-                 trace.size(), secs, model.c_str());
+    std::fprintf(stderr, "profiled %llu requests in %.3f s with model %s\n",
+                 static_cast<unsigned long long>(fed), secs, model.c_str());
   }
   if (report.degradation_events > 0) {
     std::fprintf(stderr,
@@ -742,21 +803,20 @@ int cmd_profile(const Options& opts) {
   }
   if (deadline_partial) {
     std::fprintf(stderr,
-                 "deadline of %.3f s reached after %llu of %zu records; "
+                 "deadline of %.3f s reached after %llu records; "
                  "the curve covers the processed prefix only\n",
-                 deadline_secs, static_cast<unsigned long long>(fed),
-                 trace.size());
+                 deadline_secs, static_cast<unsigned long long>(fed));
     return 4;
   }
   return 0;
 }
 
 int cmd_simulate(const Options& opts) {
-  const auto trace = load_input(opts, nullptr);
   const std::string policy = opts.get_string("policy", "klru");
-  const auto n_sizes = static_cast<std::size_t>(opts.get_int("sizes", 20));
-  const auto k = static_cast<std::uint32_t>(opts.get_int("k", 5));
+  const auto n_sizes = static_cast<std::size_t>(count_flag(opts, "sizes", 20));
+  const auto k = static_cast<std::uint32_t>(count_flag(opts, "k", 5));
   const bool bytes = opts.has("bytes");
+  const auto trace = collect_input(opts);
   const auto sizes = bytes ? capacity_grid_bytes(trace, n_sizes)
                            : capacity_grid_objects(trace, n_sizes);
   MissRatioCurve curve;
@@ -779,115 +839,13 @@ int cmd_simulate(const Options& opts) {
 // compare: streaming multi-model evaluation
 // ---------------------------------------------------------------------------
 
-/// A replayable request stream: compare needs two identical passes (one to
-/// feed the estimators, one for the ground-truth simulation) without
-/// buffering the whole trace in memory for file inputs.
-class RequestSource {
- public:
-  virtual ~RequestSource() = default;
-  /// Streams one full pass of the input through `fn`.
-  virtual void pass(const std::function<void(const Request&)>& fn) = 0;
-  /// Ingestion accounting for the most recent pass.
-  virtual const TraceReadReport& report() const noexcept = 0;
-};
-
-/// Binary trace file, re-read (and re-validated) per pass.
-class BinaryFileSource final : public RequestSource {
- public:
-  BinaryFileSource(std::string path, const TraceReaderOptions& options)
-      : path_(std::move(path)), options_(options) {}
-
-  void pass(const std::function<void(const Request&)>& fn) override {
-    std::ifstream is(path_, std::ios::binary);
-    if (!is) throw StatusError(io_error("cannot open for read: " + path_));
-    TraceReader reader(is, options_);
-    Request r;
-    while (reader.next(r)) fn(r);
-    report_ = reader.report();
-    if (!reader.status().is_ok()) throw StatusError(reader.status());
-  }
-  const TraceReadReport& report() const noexcept override { return report_; }
-
- private:
-  std::string path_;
-  TraceReaderOptions options_;
-  TraceReadReport report_;
-};
-
-/// In-memory trace (CSV inputs, which the reader cannot stream twice).
-class MemorySource final : public RequestSource {
- public:
-  MemorySource(std::vector<Request> trace, const TraceReadReport& report)
-      : trace_(std::move(trace)), report_(report) {}
-
-  void pass(const std::function<void(const Request&)>& fn) override {
-    for (const Request& r : trace_) fn(r);
-  }
-  const TraceReadReport& report() const noexcept override { return report_; }
-
- private:
-  std::vector<Request> trace_;
-  TraceReadReport report_;
-};
-
-/// Synthetic workload, re-generated from the same seed per pass (generators
-/// are replayable by contract).
-class GeneratorSource final : public RequestSource {
- public:
-  GeneratorSource(std::string spec, const WorkloadFactoryOptions& options,
-                  std::uint64_t n)
-      : spec_(std::move(spec)), options_(options), n_(n) {
-    report_.records_read = n_;
-  }
-
-  void pass(const std::function<void(const Request&)>& fn) override {
-    auto gen = try_make_workload(spec_, options_);
-    if (!gen.is_ok()) usage(gen.status().message());
-    for (std::uint64_t i = 0; i < n_; ++i) fn((*gen)->next());
-  }
-  const TraceReadReport& report() const noexcept override { return report_; }
-
- private:
-  std::string spec_;
-  WorkloadFactoryOptions options_;
-  std::uint64_t n_;
-  TraceReadReport report_;
-};
-
-std::unique_ptr<RequestSource> make_source(const Options& opts) {
-  const TraceReaderOptions ro = reader_options(opts);
-  if (auto path = opts.get("trace"); path && !path->empty()) {
-    if (path->size() > 4 && path->substr(path->size() - 4) == ".csv") {
-      std::ifstream is(*path);
-      if (!is) throw StatusError(io_error("cannot open for read: " + *path));
-      TraceReadReport report;
-      auto csv = read_trace_csv(is, ro, &report);
-      if (!csv.is_ok()) throw StatusError(csv.status());
-      return std::make_unique<MemorySource>(std::move(csv).value(), report);
-    }
-    return std::make_unique<BinaryFileSource>(*path, ro);
-  }
-  const std::string spec = opts.get_string("workload", "");
-  if (spec.empty()) usage("need --trace=<file> or --workload=<spec>");
-  WorkloadFactoryOptions wf;
-  wf.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  wf.footprint = count_flag(opts, "footprint", 0);
-  wf.uniform_size = static_cast<std::uint32_t>(opts.get_int("uniform-size", 0));
-  // Validate the spec eagerly so a typo is a usage error before pass 1.
-  if (auto gen = try_make_workload(spec, wf); !gen.is_ok()) {
-    usage(gen.status().message());
-  }
-  return std::make_unique<GeneratorSource>(spec, wf,
-                                           count_flag(opts, "n", 1000000));
-}
-
 int cmd_compare(const Options& opts) {
   if (opts.has("bytes")) {
     usage("compare evaluates object-granularity curves; --bytes is not "
           "supported here");
   }
-  const auto k = static_cast<std::uint32_t>(opts.get_int("k", 5));
-  const auto n_sizes = static_cast<std::size_t>(opts.get_int("sizes", 20));
+  const auto k = static_cast<std::uint32_t>(count_flag(opts, "k", 5));
+  const auto n_sizes = static_cast<std::size_t>(count_flag(opts, "sizes", 20));
   const std::string format = opts.get_string("format", "table");
   if (format != "table" && format != "csv" && format != "json") {
     usage("unknown --format for compare (use table, csv or json)");
@@ -907,40 +865,14 @@ int cmd_compare(const Options& opts) {
   const EstimatorOptions shared = estimator_options_from(opts);
   auto& registry = EstimatorRegistry::instance();
 
-  // --threads/--shards apply the same sharded routing as `profile`, per
-  // model: names with a `<name>_sharded` registry adapter run through it
-  // (krr via krr_sharded), everything else is rejected rather than
-  // silently run serial. Display/JSON keys keep the original names so
-  // sharded and serial runs of the same invocation line up column for
-  // column.
-  const auto threads_opt = opts.get_int("threads", 1);
-  if (threads_opt < 1) usage("--threads must be >= 1");
-  const auto shards_opt = opts.get_int("shards", 0);
-  if (shards_opt < 0) usage("--shards must be >= 1");
-  const bool fanout_flags = opts.has("threads") || opts.has("shards");
-  const auto threads = static_cast<unsigned>(threads_opt);
-  const auto shards = shards_opt == 0 ? static_cast<std::uint32_t>(threads)
-                                      : static_cast<std::uint32_t>(shards_opt);
+  // --threads/--shards route every model through resolve_model, exactly as
+  // `profile` does. Display/JSON keys keep the original names so sharded
+  // and serial runs of the same invocation line up column for column.
   std::vector<std::unique_ptr<MrcEstimator>> estimators;
   estimators.reserve(models.size());
   for (const std::string& name : models) {
-    std::string resolved = name;
     EstimatorOptions eopts = shared;
-    if (fanout_flags) {
-      const bool already_sharded =
-          name.size() > 8 && name.compare(name.size() - 8, 8, "_sharded") == 0;
-      if (!already_sharded) {
-        const std::string mapped =
-            name == "krr" ? std::string("krr_sharded") : name + "_sharded";
-        if (!registry.contains(mapped)) {
-          usage("--threads/--shards: model '" + name +
-                "' has no sharded adapter (see krr_cli models)");
-        }
-        resolved = mapped;
-      }
-      if (!eopts.has("threads")) eopts.set("threads", std::to_string(threads));
-      if (!eopts.has("shards")) eopts.set("shards", std::to_string(shards));
-    }
+    const std::string resolved = resolve_model(opts, name, eopts);
     auto est = registry.create(resolved, eopts);
     if (!est.is_ok()) throw StatusError(est.status());
     estimators.push_back(std::move(*est));
@@ -996,24 +928,26 @@ int cmd_compare(const Options& opts) {
   // key count fixes the evaluation grid for pass 2.
   std::unordered_set<std::uint64_t> distinct;
   std::uint64_t fed = 0;
-  auto source = make_source(opts);
-  source->pass([&](const Request& r) {
-    distinct.insert(r.key);
-    for (auto& est : estimators) est->access(r);
-    ++fed;
-    if (!convergence_out.empty() && fed % convergence_every == 0) {
-      take_convergence_snapshot(fed, /*final_snapshot=*/false);
-    }
-    if (heartbeat) {
-      heartbeat->tick([&] {
-        obs::HeartbeatSnapshot s;
-        s.records = fed;
-        s.stack_depth = distinct.size();
-        return s;
+  const TraceReadReport ingest =
+      stream_input(opts, 0, [&](std::span<const Request> block) {
+        for (const Request& r : block) {
+          distinct.insert(r.key);
+          for (auto& est : estimators) est->access(r);
+          ++fed;
+          if (!convergence_out.empty() && fed % convergence_every == 0) {
+            take_convergence_snapshot(fed, /*final_snapshot=*/false);
+          }
+          if (heartbeat) {
+            heartbeat->tick([&] {
+              obs::HeartbeatSnapshot s;
+              s.records = fed;
+              s.stack_depth = distinct.size();
+              return s;
+            });
+          }
+        }
+        return true;
       });
-    }
-  });
-  report_ingest(source->report());
   for (auto& est : estimators) est->finish();
   const std::uint64_t requests = fed;
   if (requests == 0) {
@@ -1052,17 +986,20 @@ int cmd_compare(const Options& opts) {
     }
     if (want_lru) lru_caches.emplace_back(capacity);
   }
-  source->pass([&](const Request& r) {
-    for (auto& cache : klru_caches) cache.access(r);
-    for (auto& cache : lru_caches) cache.access(r);
-    ++fed;
-    if (heartbeat) {
-      heartbeat->tick([&] {
-        obs::HeartbeatSnapshot s;
-        s.records = fed;
-        return s;
-      });
+  stream_input(opts, 0, [&](std::span<const Request> block) {
+    for (const Request& r : block) {
+      for (auto& cache : klru_caches) cache.access(r);
+      for (auto& cache : lru_caches) cache.access(r);
+      ++fed;
+      if (heartbeat) {
+        heartbeat->tick([&] {
+          obs::HeartbeatSnapshot s;
+          s.records = fed;
+          return s;
+        });
+      }
     }
+    return true;
   });
   if (heartbeat) {
     obs::HeartbeatSnapshot s;
@@ -1165,7 +1102,7 @@ int cmd_compare(const Options& opts) {
       // fan-out counters (producer stalls, degradations, governance) are
       // not lost when comparing models side by side.
       entry.set("run_report",
-                to_json(estimators[m]->run_report(&source->report())));
+                to_json(estimators[m]->run_report(&ingest)));
       if (target == "auto") {
         entry.set("truth",
                   obs::Json(std::string(estimators[m]->info().caps.models_klru

@@ -191,6 +191,21 @@ class MrcEstimator {
   /// MRC ratios must be unchanged. Default: kInvalidArgument.
   virtual Status scale_mass(double factor);
 
+  /// Producer-side gate (DESIGN.md §12): the runner routes a reference to
+  /// this instance only when hash64(key) % SpatialFilter::kDefaultModulus
+  /// is below the threshold returned here, and reports the rest through
+  /// skip(). An opted-in model returns its spatial filter's threshold, which
+  /// may only fall over the run, so the gate never rejects a reference the
+  /// model would sample. Default: the modulus (every reference passes).
+  virtual std::uint64_t sample_threshold() const {
+    return SpatialFilter::kDefaultModulus;
+  }
+
+  /// Accounts for `n` references the gate rejected, exactly as if each had
+  /// gone through access() and been dropped by the model's own filter.
+  /// Only reached when sample_threshold() is below the modulus.
+  virtual void skip(std::uint64_t n) { (void)n; }
+
   /// --- Checkpoint hooks (capability flag `checkpoint`).
 
   /// Serializes the complete mid-run state into `out` such that a fresh

@@ -98,6 +98,10 @@ class KrrEstimator final : public MrcEstimator {
       : profiler_(krr_config_from(o)) {}
 
   void access(const Request& req) override { profiler_.access(req); }
+  std::uint64_t sample_threshold() const override {
+    return profiler_.sample_threshold();
+  }
+  void skip(std::uint64_t n) override { profiler_.skip(n); }
   MissRatioCurve mrc(const std::vector<double>&) const override {
     return profiler_.mrc();
   }

@@ -121,6 +121,15 @@ class KrrProfiler {
   /// Processes one reference (spatial filtering applied internally).
   void access(const Request& req);
 
+  /// Accounts for `n` references a producer-side gate rejected (the sharded
+  /// runner tests this profiler's filter before queueing, DESIGN.md §12).
+  /// Same effect as `n` access() calls whose keys the filter drops; the
+  /// filter.* counters are not bumped (the runner publishes its own).
+  void skip(std::uint64_t n) noexcept { processed_ += n; }
+
+  /// The spatial filter's current threshold T over hash64(key) % 2^24.
+  std::uint64_t sample_threshold() const noexcept { return filter_.threshold(); }
+
   /// The predicted K-LRU miss ratio curve. Cache sizes are object counts
   /// (uni-KRR) or bytes (var-KRR); with spatial sampling, distances have
   /// been scaled back by 1/R so the curve is in unsampled units, and the

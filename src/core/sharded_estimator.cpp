@@ -36,8 +36,14 @@ constexpr int kDrainBatch = 256;
 
 /// Drain batches between traced drain spans. A span costs two clock
 /// reads, so with 256-record batches a traced worker reads the clock once
-/// per ~4096 records — the same stride Heartbeat::tick gates at.
+/// per ~4096 records — the same stride Heartbeat::tick gates at. The
+/// producer traces one queue-stall span per this many stalls, so a run that
+/// stalls on every push cannot flood the producer's trace ring.
 constexpr std::uint64_t kDrainTraceStride = 16;
+
+/// Largest gate-rejected count one entry carries; the producer flushes a
+/// skip-only entry when a shard's pending count reaches it.
+constexpr std::uint32_t kMaxPendingSkips = UINT32_MAX;
 
 /// Spin-wait hint for a worker that found all its queues empty. Polling
 /// again at once keeps pulling the queues' write-index lines away from the
@@ -53,26 +59,70 @@ void idle_pause() {
 
 }  // namespace
 
+/// One shard-queue and replay-journal entry: `skipped` references the
+/// producer's gate rejected for this shard since its previous entry, then
+/// the record `req` itself — unless `has_record` is false, which marks a
+/// skip-only entry (a flush at quiesce()/finish()).
+struct ShardEntry {
+  Request req;
+  std::uint32_t skipped = 0;
+  bool has_record = true;
+
+  /// References this entry stands for.
+  std::uint64_t records() const noexcept {
+    return std::uint64_t{skipped} + (has_record ? 1u : 0u);
+  }
+};
+static_assert(sizeof(ShardEntry) == 24, "queue/journal sizing assumes 24 B");
+
 struct ShardPayload {
   std::unique_ptr<MrcEstimator> estimator;
   /// Recreates a fresh instance with this shard's exact options — the
   /// resurrection path's rebuild() hook.
   std::function<std::unique_ptr<MrcEstimator>()> factory;
   std::uint64_t budget_bytes = 0;  // per-shard share; 0 = ungoverned
+  /// References applied, gate-rejected ones included (counted only when
+  /// governed: it is the budget-check stride position).
   std::uint64_t accesses = 0;
+
+  void apply(const ShardEntry& entry) {
+    skip(entry.skipped);
+    if (entry.has_record) access(entry.req);
+  }
 
   void access(const Request& req) {
     estimator->access(req);
-    if (budget_bytes != 0 && (++accesses & 4095u) == 0) {
-      // Per-shard budget enforcement on the consuming thread — the external
-      // RunGovernor loop cannot reach inside a threaded pipeline (it would
-      // race the workers), so each shard polices its own split of the
-      // global ceiling. The step bound keeps a pathological degrade() from
-      // stalling the drain loop.
-      int steps = 0;
-      while (estimator->space_overhead_bytes() > budget_bytes && steps++ < 64) {
-        if (!estimator->degrade()) break;
-      }
+    if (budget_bytes != 0 && (++accesses & 4095u) == 0) enforce_budget();
+  }
+
+  /// Applies `n` gate-rejected references. A governed shard steps through
+  /// them so the budget check runs at the same reference position as if
+  /// each had gone through access(): a degradation then starts its rate
+  /// epoch on the same record.
+  void skip(std::uint64_t n) {
+    if (n == 0) return;
+    if (budget_bytes == 0) {
+      estimator->skip(n);
+      return;
+    }
+    while (n != 0) {
+      const std::uint64_t step =
+          std::min<std::uint64_t>(n, 4096 - (accesses & 4095u));
+      estimator->skip(step);
+      n -= step;
+      if (((accesses += step) & 4095u) == 0) enforce_budget();
+    }
+  }
+
+  /// Per-shard budget enforcement on the consuming thread — the external
+  /// RunGovernor loop cannot reach inside a threaded pipeline (it would
+  /// race the workers), so each shard polices its own split of the global
+  /// ceiling. The step bound keeps a pathological degrade() from stalling
+  /// the drain loop.
+  void enforce_budget() {
+    int steps = 0;
+    while (estimator->space_overhead_bytes() > budget_bytes && steps++ < 64) {
+      if (!estimator->degrade()) break;
     }
   }
 
@@ -119,42 +169,48 @@ struct ShardFanout::Shard {
   }
 
   std::unique_ptr<ShardPayload> payload;
-  SpscQueue<Request> queue;
+  SpscQueue<ShardEntry> queue;
 
   // Replay-recovery state, all consumer-owned (only the worker that owns
   // this shard — or the producer in inline mode — ever touches it, so no
   // atomics). `journal` is a ring of the last journal.size() applied
-  // records; `applied` counts records ever applied to the payload;
+  // entries; `applied` counts entries ever applied to the payload;
   // `snapshot` is the payload's last mini-checkpoint, taken at
-  // `snapshot_applied` applied records. Resurrection = fresh payload +
+  // `snapshot_applied` applied entries. Resurrection = fresh payload +
   // load(snapshot) + replay journal[snapshot_applied, applied) — possible
   // exactly while applied - snapshot_applied <= journal.size().
-  std::vector<Request> journal;
+  std::vector<ShardEntry> journal;
   std::uint64_t applied = 0;
   std::uint64_t snapshot_applied = 0;
   std::string snapshot;
   std::uint64_t resurrections = 0;
 
-  // Best-effort failure mode: set (by the owning worker, or the producer
-  // in inline mode) when this shard's pipeline threw. A dead shard's
-  // queue is drained to the bit bucket and its state is excluded from
-  // merges.
-  std::atomic<bool> dead{false};
-
-  // Worker-owned drain-batch counter gating traced spans (no atomics:
+  // Worker-owned poll counter gating traced drain spans (no atomics:
   // one consumer per shard).
   std::uint64_t drain_batches = 0;
 
-  // Quiesce ledger. `routed` counts records the producer successfully
+  // The producer's line: it reads `dead` and bumps `pending` on every
+  // reference routed here, so nothing the worker writes per entry shares
+  // it. `dead` is set (by the owning worker, or the producer in inline
+  // mode) when this shard's pipeline threw in a recovering mode: a dead
+  // shard's queue is drained to the bit bucket and its state is excluded
+  // from merges. `pending` counts references the gate rejected for this
+  // shard since its last queued entry, handed over with the next one (or
+  // by a flush).
+  alignas(64) std::atomic<bool> dead{false};
+  std::uint32_t pending = 0;
+
+  // Quiesce ledger. `routed` counts entries the producer successfully
   // enqueued to this shard (plain: single producer, and only the producer
-  // reads it, in quiesce()); `consumed` counts records the worker has
+  // reads it, in quiesce()); `consumed` counts entries the worker has
   // fully disposed of — applied to the payload, bit-bucketed for a dead
   // shard, or swallowed by a best-effort failure — and is incremented
   // with release order *after* the disposal so quiesce()'s acquire load
   // publishes the payload mutations. consumed == routed therefore means
-  // "every record handed to this shard is reflected in its state".
+  // "every entry handed to this shard is reflected in its state". It sits
+  // on its own cache line, away from the producer-written fields above.
   std::uint64_t routed = 0;
-  std::atomic<std::uint64_t> consumed{0};
+  alignas(64) std::atomic<std::uint64_t> consumed{0};
 
   // Live gauges the owning worker publishes once per drain batch so the
   // producer thread can heartbeat without touching payload internals.
@@ -174,8 +230,8 @@ struct ShardFanout::Shard {
     live_rate.store(live.sampling_rate, std::memory_order_relaxed);
   }
 
-  void journal_append(const Request& req) {
-    if (!journal.empty()) journal[applied % journal.size()] = req;
+  void journal_append(const ShardEntry& entry) {
+    if (!journal.empty()) journal[applied % journal.size()] = entry;
     ++applied;
   }
 };
@@ -217,19 +273,22 @@ void ShardFanout::route(std::uint32_t index, const Request& req) {
   Shard& shard = *shards_[index];
   if (metrics_ != nullptr) {
     metrics_->sharded.enqueued->inc();
-    if ((processed_ & 1023u) == 0) {
+    if ((shard.routed & 1023u) == 0) {
       metrics_->sharded.queue_depth->record(shard.queue.size_approx());
     }
   }
   if (shard.dead.load(std::memory_order_acquire)) {
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
+    dropped_records_.fetch_add(1 + std::uint64_t{shard.pending},
+                               std::memory_order_relaxed);
+    shard.pending = 0;
     return;
   }
   if (faults::should_fire(faults::kQueuePush, index)) {
     // An injected push fault. Strict mode treats it like any producer
     // failure (the exception aborts the run); recovering modes lose just
     // this record — it never reaches a queue, so there is nothing for
-    // replay to bridge — and count it as dropped.
+    // replay to bridge — and count it as dropped. The shard's pending
+    // count rides on its next entry.
     if (config_.failure_mode == ShardFailureMode::kStrict) {
       throw faults::FaultInjectedError("injected fault at queue push, shard " +
                                        std::to_string(index));
@@ -241,48 +300,83 @@ void ShardFanout::route(std::uint32_t index, const Request& req) {
     }
     return;
   }
+  push(shard, index, ShardEntry{req, shard.pending, true});
+}
+
+void ShardFanout::skip(std::uint32_t index) {
+  ++processed_;
+  Shard& shard = *shards_[index];
+  if (shard.dead.load(std::memory_order_acquire)) {
+    dropped_records_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  if (++shard.pending == kMaxPendingSkips) flush_skips(shard, index);
+}
+
+void ShardFanout::flush_skips() {
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    flush_skips(*shards_[s], s);
+  }
+}
+
+void ShardFanout::flush_skips(Shard& shard, std::uint32_t index) {
+  if (shard.pending == 0) return;
+  if (shard.dead.load(std::memory_order_acquire)) {
+    dropped_records_.fetch_add(shard.pending, std::memory_order_relaxed);
+    shard.pending = 0;
+    return;
+  }
+  push(shard, index, ShardEntry{Request{}, shard.pending, false});
+}
+
+void ShardFanout::push(Shard& shard, std::uint32_t index,
+                       const ShardEntry& entry) {
+  shard.pending = 0;  // `entry` carries it now
   if (worker_count_ == 0) {
     // Inline mode: consume synchronously (strict failures propagate to
-    // the caller, recovering modes dispose of the record like a worker
+    // the caller, recovering modes dispose of the entry like a worker
     // would).
-    if (!consume_record(shard, index, req)) {
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+    if (!consume_entry(shard, index, entry)) {
+      dropped_records_.fetch_add(entry.records(), std::memory_order_relaxed);
     }
     return;
   }
-  if (shard.queue.try_push(req)) {
+  if (shard.queue.try_push(entry)) {
     ++shard.routed;
     return;
   }
   // Backpressure: the shard's worker is behind. Back off (spin, then
   // yield, then bounded sleeps) rather than block on a condvar — stalls
   // are usually transient (a worker mid-batch), but a persistently slow
-  // shard must not pin the producer core.
+  // shard must not pin the producer core. One stall in kDrainTraceStride
+  // is traced; sharded.producer_stalls keeps the exact count.
+  const std::uint64_t stall_number = ++stalls_;
   if (metrics_ != nullptr) metrics_->sharded.producer_stalls->inc();
-  const std::uint64_t stall_start_ns =
-      tracer_ != nullptr ? tracer_->now_ns() : 0;
-  const auto trace_stall = [&] {
-    if (tracer_ != nullptr) {
+  const bool traced =
+      tracer_ != nullptr && (stall_number - 1) % kDrainTraceStride == 0;
+  const std::uint64_t stall_start_ns = traced ? tracer_->now_ns() : 0;
+  Stopwatch stall;
+  const auto end_stall = [&] {
+    stall_seconds_ += stall.seconds();
+    if (traced) {
       tracer_->complete("sharded.queue_stall", "sharded", 0, stall_start_ns,
                         tracer_->now_ns() - stall_start_ns,
-                        {{"shard", static_cast<double>(index)}});
+                        {{"shard", static_cast<double>(index)},
+                         {"stalls", static_cast<double>(stall_number)}});
     }
   };
-  Stopwatch stall;
   Backoff backoff;
   for (;;) {
     if (failed_.load(std::memory_order_acquire)) {
-      // A worker died; its queues will never drain. Drop the record —
-      // the run is poisoned and finish() will rethrow the worker's error.
-      stall_seconds_ += stall.seconds();
-      trace_stall();
+      // A worker died; its queues will never drain. Drop the entry — the
+      // run is poisoned and finish() will rethrow the worker's error.
+      end_stall();
       return;
     }
     if (shard.dead.load(std::memory_order_acquire)) {
       // Best-effort: this shard just died under us; stop waiting on it.
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
-      stall_seconds_ += stall.seconds();
-      trace_stall();
+      dropped_records_.fetch_add(entry.records(), std::memory_order_relaxed);
+      end_stall();
       return;
     }
     if (backoff.pause()) {
@@ -290,14 +384,14 @@ void ShardFanout::route(std::uint32_t index, const Request& req) {
         metrics_->sharded.backpressure_sleeps->inc();
       }
     }
-    if (shard.queue.try_push(req)) break;
+    if (shard.queue.try_push(entry)) break;
   }
   ++shard.routed;
-  stall_seconds_ += stall.seconds();
-  trace_stall();
+  end_stall();
 }
 
 Status ShardFanout::quiesce() {
+  flush_skips();
   if (worker_count_ == 0) return Status::ok();
   Backoff backoff;
   for (;;) {
@@ -324,10 +418,15 @@ void ShardFanout::restore_fanout_state(std::uint64_t processed,
   processed_ = processed;
   dropped_records_.store(dropped, std::memory_order_relaxed);
   std::uint64_t failed = 0;
-  for (std::size_t s = 0; s < shards_.size() && s < dead_flags.size(); ++s) {
-    if (dead_flags[s]) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (s < dead_flags.size() && dead_flags[s]) {
       shards_[s]->dead.store(true, std::memory_order_release);
       ++failed;
+    } else if (config_.journal_records != 0) {
+      // The restored payload is the replay base: without it a crash before
+      // the shard's first mini-checkpoint would rebuild a fresh payload
+      // and replay only the entries since the resume.
+      take_snapshot(*shards_[s], static_cast<std::uint32_t>(s));
     }
   }
   shards_failed_.store(failed, std::memory_order_relaxed);
@@ -335,6 +434,7 @@ void ShardFanout::restore_fanout_state(std::uint64_t processed,
 
 void ShardFanout::finish() {
   if (finished_) return;
+  flush_skips();
   if (worker_count_ != 0) {
     const std::uint64_t join_start_ns =
         tracer_ != nullptr ? tracer_->now_ns() : 0;
@@ -425,74 +525,78 @@ void ShardFanout::attach_tracer(obs::Tracer* tracer) noexcept {
 
 void ShardFanout::drain_batch(Shard& shard, std::uint32_t index,
                               bool& did_work) {
-  Request req;
-  int budget = kDrainBatch;
+  ShardEntry entry;
   if (shard.dead.load(std::memory_order_relaxed)) {
     // Discard what the producer enqueued before it noticed the death;
     // the queue must keep draining or the producer's backpressure spin
     // would wait on a shard that will never consume.
-    while (budget-- > 0 && shard.queue.try_pop(req)) {
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+    for (int n = 0; n < kDrainBatch && shard.queue.try_pop(entry); ++n) {
+      dropped_records_.fetch_add(entry.records(), std::memory_order_relaxed);
       shard.consumed.fetch_add(1, std::memory_order_release);
       did_work = true;
     }
     return;
   }
   // Stride-gated drain spans: one traced batch (two clock reads) every
-  // kDrainTraceStride batches; untraced batches pay one branch.
-  const bool traced =
-      tracer_ != nullptr && (shard.drain_batches++ % kDrainTraceStride) == 0;
+  // kDrainTraceStride polls; untraced batches pay one branch. tracer_ is
+  // read only after a pop: attach_tracer() precedes the first push, and
+  // the pop's acquire load orders the two.
+  const bool stride_hit = (shard.drain_batches++ % kDrainTraceStride) == 0;
+  if (!shard.queue.try_pop(entry)) return;
+  const bool traced = stride_hit && tracer_ != nullptr;
   const std::uint64_t batch_start_ns = traced ? tracer_->now_ns() : 0;
   int drained = 0;
-  while (budget-- > 0 && shard.queue.try_pop(req)) {
+  do {
     // Strict-mode failures throw through to drain_loop/the pool; a
     // recovering mode that could not save the shard returns false — the
-    // record that killed it is disposed of (swallowed), so it still
+    // entry that killed it is disposed of (swallowed), so it still
     // counts as consumed.
-    const bool ok = consume_record(shard, index, req);
+    const bool ok = consume_entry(shard, index, entry);
     shard.consumed.fetch_add(1, std::memory_order_release);
+    did_work = true;
     if (!ok) {
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
-      did_work = true;
+      dropped_records_.fetch_add(entry.records(), std::memory_order_relaxed);
       return;
     }
     ++drained;
-  }
-  if (drained > 0) {
-    shard.publish_live();
-    did_work = true;
-    if (traced) {
-      tracer_->complete(
-          "sharded.drain", "sharded", index + 1, batch_start_ns,
-          tracer_->now_ns() - batch_start_ns,
-          {{"records", static_cast<double>(drained)},
-           {"depth", static_cast<double>(
-                shard.live_depth.load(std::memory_order_relaxed))}});
-    }
+  } while (drained < kDrainBatch && shard.queue.try_pop(entry));
+  shard.publish_live();
+  if (traced) {
+    tracer_->complete(
+        "sharded.drain", "sharded", index + 1, batch_start_ns,
+        tracer_->now_ns() - batch_start_ns,
+        {{"records", static_cast<double>(drained)},
+         {"depth", static_cast<double>(
+              shard.live_depth.load(std::memory_order_relaxed))}});
   }
 }
 
-/// Consumer side: applies one record to a live shard's payload, with the
-/// fault point, journaling, mini-checkpoints, and failure handling.
-/// Returns true when the record is reflected in the payload (possibly
-/// after a resurrection), false when the shard died under it. Strict
-/// mode throws instead of dying.
-bool ShardFanout::consume_record(Shard& shard, std::uint32_t index,
-                                 const Request& req) {
+/// Consumer side: applies one entry to a live shard's payload — its
+/// gate-rejected count, then its record — with the test hook and fault
+/// point (record entries only), journaling, mini-checkpoints, and failure
+/// handling. Returns true when the entry is reflected in the payload
+/// (possibly after a resurrection), false when the shard died under it.
+/// Strict mode throws instead of dying.
+bool ShardFanout::consume_entry(Shard& shard, std::uint32_t index,
+                                const ShardEntry& entry) {
   try {
-    if (config_.before_access_hook) config_.before_access_hook(index, req);
-    faults::maybe_fire(faults::kShardWorker, index);
-    shard.payload->access(req);
+    if (entry.has_record) {
+      if (config_.before_access_hook) {
+        config_.before_access_hook(index, entry.req);
+      }
+      faults::maybe_fire(faults::kShardWorker, index);
+    }
+    shard.payload->apply(entry);
   } catch (...) {
     if (config_.failure_mode == ShardFailureMode::kStrict) throw;
     if (config_.failure_mode == ShardFailureMode::kReplay &&
-        try_resurrect(shard, index, req)) {
+        try_resurrect(shard, index, entry)) {
       return true;
     }
     kill_shard(shard, index);
     return false;
   }
-  shard.journal_append(req);
+  shard.journal_append(entry);
   maybe_snapshot(shard, index);
   return true;
 }
@@ -506,16 +610,20 @@ void ShardFanout::kill_shard(Shard& shard, std::uint32_t index) {
   }
 }
 
-/// Mini-checkpoint cadence: every snapshot_stride applied records the
-/// owning worker saves the payload into shard-local storage. A failed
-/// save keeps the previous snapshot — the shard stays recoverable up to
-/// the old snapshot's journal window and the failure is traced, not
-/// fatal.
+/// Mini-checkpoint cadence: every snapshot_stride applied entries the
+/// owning worker saves the payload into shard-local storage.
 void ShardFanout::maybe_snapshot(Shard& shard, std::uint32_t index) {
   if (config_.journal_records == 0 ||
       shard.applied - shard.snapshot_applied < config_.snapshot_stride) {
     return;
   }
+  take_snapshot(shard, index);
+}
+
+/// Saves the payload as the shard's mini-checkpoint. A failed save keeps
+/// the previous snapshot — the shard stays recoverable up to the old
+/// snapshot's journal window and the failure is traced, not fatal.
+void ShardFanout::take_snapshot(Shard& shard, std::uint32_t index) {
   std::string state;
   Status status = Status::ok();
   try {
@@ -532,9 +640,9 @@ void ShardFanout::maybe_snapshot(Shard& shard, std::uint32_t index) {
   }
 }
 
-/// Resurrects a shard whose payload just threw on `req`: fresh payload,
+/// Resurrects a shard whose payload just threw on `entry`: fresh payload,
 /// reload the last mini-checkpoint, replay the journal tail, re-apply the
-/// failing record — retried under the configured RetryPolicy, every
+/// failing entry — retried under the configured RetryPolicy, every
 /// attempt traced as a sharded.shard_resurrect span. Returns false (and
 /// leaves the caller to fall back to drop-and-rescale) when the journal
 /// cannot bridge back to the snapshot or every attempt failed. The replay
@@ -542,7 +650,7 @@ void ShardFanout::maybe_snapshot(Shard& shard, std::uint32_t index) {
 /// armed on this shard does not re-kill the recovery itself; the hit
 /// counter simply resumes with the next fresh record.
 bool ShardFanout::try_resurrect(Shard& shard, std::uint32_t index,
-                                const Request& req) {
+                                const ShardEntry& entry) {
   const std::uint64_t pending = shard.applied - shard.snapshot_applied;
   if (shard.journal.empty() || pending > shard.journal.size()) {
     if (tracer_ != nullptr) {
@@ -565,9 +673,9 @@ bool ShardFanout::try_resurrect(Shard& shard, std::uint32_t index,
       if (ok) {
         for (std::uint64_t i = shard.snapshot_applied; i < shard.applied;
              ++i) {
-          shard.payload->access(shard.journal[i % shard.journal.size()]);
+          shard.payload->apply(shard.journal[i % shard.journal.size()]);
         }
-        shard.payload->access(req);  // the record that killed the worker
+        shard.payload->apply(entry);  // the entry that killed the worker
       }
     } catch (...) {
       ok = false;
@@ -581,7 +689,7 @@ bool ShardFanout::try_resurrect(Shard& shard, std::uint32_t index,
                          {"ok", ok ? 1.0 : 0.0}});
     }
     if (ok) {
-      shard.journal_append(req);
+      shard.journal_append(entry);
       ++shard.resurrections;
       resurrections_.fetch_add(1, std::memory_order_relaxed);
       replayed_records_.fetch_add(pending, std::memory_order_relaxed);
@@ -678,7 +786,7 @@ std::vector<std::unique_ptr<ShardPayload>> ShardedEstimator::make_payloads(
       const std::uint64_t journal_bytes =
           config.fanout.failure_mode == ShardFailureMode::kReplay
               ? static_cast<std::uint64_t>(config.fanout.journal_records) *
-                    sizeof(Request)
+                    sizeof(ShardEntry)
               : 0;
       payload->budget_bytes = share > journal_bytes ? share - journal_bytes : 1;
     }
@@ -691,26 +799,61 @@ ShardedEstimator::ShardedEstimator(const Config& config)
     : fanout_(make_payloads(config), config.fanout) {
   configured_rate_ =
       fanout_.payload(0).estimator->snapshot().sampling_rate;
+  // Thresholds only fall (a halving, or a restore of a halved filter), so
+  // the largest one at construction bounds every shard's for the whole run.
+  for (std::uint32_t s = 0; s < fanout_.shard_count(); ++s) {
+    gate_threshold_ = std::max(
+        gate_threshold_, fanout_.payload(s).estimator->sample_threshold());
+  }
 }
 
 std::uint32_t ShardedEstimator::shard_of(std::uint64_t key) const noexcept {
+  return shard_of_hash(hash64(key));
+}
+
+std::uint32_t ShardedEstimator::shard_of_hash(
+    std::uint64_t hash) const noexcept {
   // Top hash bits: disjoint from the low bits spatial filters threshold on
   // (modulus 2^24), so shard identity and sample membership are
   // independent uniform functions of the key.
-  return static_cast<std::uint32_t>(hash64(key) >> 32) % fanout_.shard_count();
+  return static_cast<std::uint32_t>(hash >> 32) % fanout_.shard_count();
 }
 
 void ShardedEstimator::access(const Request& req) {
-  fanout_.route(shard_of(req.key), req);
+  // Filter before fan-out (DESIGN.md §12): a key whose low hash bits fail
+  // the largest shard threshold is sampled by no shard, so it is only
+  // counted here and never queued.
+  const std::uint64_t hash = hash64(req.key);
+  const std::uint32_t index = shard_of_hash(hash);
+  if (hash % SpatialFilter::kDefaultModulus < gate_threshold_) {
+    fanout_.route(index, req);
+  } else {
+    fanout_.skip(index);
+  }
 }
 
 void ShardedEstimator::finish() {
+  if (fanout_.finished()) return;
   fanout_.finish();  // rethrows worker errors; throws when all shards died
   cache_shard_stats();
+  if (obs::PipelineMetrics* metrics = pipeline_metrics()) {
+    // The shard instances run detached (per-record counters on shared
+    // cache lines would serialize the workers), so the profiler/filter
+    // slice is published once, from the totals the run already owns.
+    const obs::HeartbeatSnapshot totals = snapshot();
+    metrics->accesses->inc(totals.records);
+    metrics->filter_passed->inc(totals.sampled);
+    metrics->filter_dropped->inc(totals.records - totals.sampled);
+    metrics->sampling_rate->set(totals.sampling_rate);
+    metrics->stack_depth->set(static_cast<double>(totals.stack_depth));
+  }
 }
 
 void ShardedEstimator::cache_shard_stats() const {
   if (!shard_stats_.empty()) return;
+  // Inline mode may reach here without finish(): hand the shards their
+  // trailing gate-rejected counts first (a no-op once finished).
+  fanout_.flush_skips();
   shard_stats_.reserve(fanout_.shard_count());
   for (std::uint32_t s = 0; s < fanout_.shard_count(); ++s) {
     ShardStats stats;

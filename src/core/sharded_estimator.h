@@ -58,6 +58,10 @@ inline const char* recovery_path_name(std::uint64_t resurrected,
 /// sharded_estimator.cpp, the only place that touches its insides).
 struct ShardPayload;
 
+/// One shard-queue and replay-journal entry (defined in
+/// sharded_estimator.cpp): a record plus the gate-rejected count before it.
+struct ShardEntry;
+
 /// The sharded fan-out pipeline behind every `*_sharded` model: the caller
 /// (the trace-reader thread) is the single producer, routing records to
 /// per-shard bounded SPSC queues; min(threads, shards) persistent workers
@@ -72,26 +76,28 @@ struct ShardPayload;
 /// best-effort with dead-shard bit-bucketing / replay resurrection),
 /// live-gauge publication, and the sharded.* metrics/trace events. The
 /// caller computes the shard index (route() takes it, so the hash stays a
-/// pure function of the key in exactly one place).
+/// pure function of the key in exactly one place) and gates the record:
+/// one a shard cannot sample goes to skip(), which only counts it.
 class ShardFanout {
  public:
   struct Config {
     /// Worker threads consuming shard queues. <= 1 runs the pipeline inline
     /// on the calling thread (no pool, no queues).
     unsigned threads = 1;
-    /// Per-shard SPSC ring capacity in records (rounded up to a power of
-    /// two). Bounds producer run-ahead: ~16 B/record, so the default is
-    /// ~1 MiB of buffered records per shard.
+    /// Per-shard SPSC ring capacity in entries (rounded up to a power of
+    /// two). An entry is one record plus the count of gate-rejected
+    /// references before it (24 B), so the default buffers 1.5 MiB per
+    /// shard.
     std::size_t queue_capacity = 1u << 16;
     /// Worker-failure policy; see ShardFailureMode.
     ShardFailureMode failure_mode = ShardFailureMode::kStrict;
-    /// kReplay only: per-shard replay-journal capacity J in records. A
-    /// resurrection can bridge at most J records between the last
+    /// kReplay only: per-shard replay-journal capacity J in entries. A
+    /// resurrection can bridge at most J entries between the last
     /// mini-checkpoint and the failure; 0 disables journaling (every
-    /// failure falls straight back to drop-and-rescale). ~16 B/record, and
+    /// failure falls straight back to drop-and-rescale). 24 B/entry, and
     /// the footprint is charged against the shard's memory budget.
     std::size_t journal_records = 16384;
-    /// kReplay only: payload accesses between per-shard mini-checkpoints.
+    /// kReplay only: applied entries between per-shard mini-checkpoints.
     /// 0 picks max(journal_records / 2, 1), which guarantees the journal
     /// window can never be exceeded while snapshots keep succeeding.
     std::uint64_t snapshot_stride = 0;
@@ -100,8 +106,9 @@ class ShardFanout {
     /// identically every time.
     RetryPolicy retry;
     /// Test seam: invoked (on the consuming thread) immediately before each
-    /// record enters its shard's payload. Lets fault-injection tests throw
-    /// from inside a shard worker; leave empty in production.
+    /// queued record enters its shard's payload (gate-rejected references
+    /// never reach it). Lets fault-injection tests throw from inside a
+    /// shard worker; leave empty in production.
     std::function<void(std::uint32_t shard, const Request&)> before_access_hook;
   };
 
@@ -115,16 +122,30 @@ class ShardFanout {
   ShardFanout(const ShardFanout&) = delete;
   ShardFanout& operator=(const ShardFanout&) = delete;
 
-  /// Producer side: routes one record to shard `index`. With threads > 1
-  /// this enqueues (briefly yielding when the shard's ring is full —
-  /// backpressure, counted as producer stall time); inline mode consumes
-  /// synchronously. Single-producer: one thread at a time may call this.
+  /// Producer side: routes one record to shard `index`, together with the
+  /// count of references skip() charged to that shard since its previous
+  /// entry. With threads > 1 this enqueues (briefly yielding when the
+  /// shard's ring is full — backpressure, counted as producer stall time);
+  /// inline mode consumes synchronously. Single-producer: one thread at a
+  /// time may call route(), skip() and flush_skips().
   void route(std::uint32_t index, const Request& req);
 
-  /// Producer side: blocks until every record routed so far has been
-  /// consumed by its shard's worker (applied to the payload, or bit-bucketed
-  /// for a dead shard), so the per-shard payloads form a consistent cut of
-  /// the stream at the producer's current position. The consumed counters
+  /// Producer side: counts one reference the owner's gate rejected for
+  /// shard `index` (no queue traffic). The count reaches the shard's
+  /// payload (MrcEstimator::skip) with the shard's next entry.
+  void skip(std::uint32_t index);
+
+  /// Producer side: hands every shard its outstanding skip() count as a
+  /// skip-only entry, through the queue and journal like a record.
+  /// quiesce() and finish() call it, so a checkpoint or a finished run
+  /// has every reference accounted for in its shard.
+  void flush_skips();
+
+  /// Producer side: flushes the skip() counts, then blocks until every
+  /// entry queued so far has been consumed by its shard's worker (applied
+  /// to the payload, or bit-bucketed for a dead shard), so the per-shard
+  /// payloads form a consistent cut of the stream at the producer's
+  /// current position. The consumed counters
   /// are released after each record is applied, so the acquire loads here
   /// also publish the payload mutations to the caller — reading shard state
   /// after a successful quiesce is race-free until the next route(). No-op
@@ -132,11 +153,13 @@ class ShardFanout {
   /// mode worker has died (its queues will never drain).
   Status quiesce();
 
-  /// Checkpoint restore (producer thread, before the first route()):
-  /// re-marks dead shards and restores the producer/drop/failure counters a
-  /// snapshot recorded. The per-shard routed/consumed ledgers deliberately
-  /// restart at zero — they only ever compare against each other, so a
-  /// fresh epoch is as consistent as the saved one.
+  /// Checkpoint restore (producer thread, before the first route(), after
+  /// the payloads were reloaded): re-marks dead shards, restores the
+  /// producer/drop/failure counters a snapshot recorded, and in kReplay
+  /// mode takes each live shard's first mini-checkpoint from its reloaded
+  /// payload. The per-shard routed/consumed ledgers deliberately restart
+  /// at zero — they only ever compare against each other, so a fresh epoch
+  /// is as consistent as the saved one.
   void restore_fanout_state(std::uint64_t processed, std::uint64_t dropped,
                             const std::vector<bool>& dead_flags);
 
@@ -146,7 +169,7 @@ class ShardFanout {
   /// best-effort recovery lost every shard. Idempotent.
   void finish();
 
-  /// Records routed so far (producer-side, exact).
+  /// References routed or skipped so far (producer-side, exact).
   std::uint64_t processed() const noexcept { return processed_; }
 
   /// Cumulative seconds the producer spent waiting on full shard queues.
@@ -214,8 +237,9 @@ class ShardFanout {
 
   /// Attaches span/event tracing: lane 0 is the producer, lane s+1 is
   /// shard s (named in the export). Workers emit one drain span per
-  /// kDrainTraceStride batches (stride-gated clock reads); queue stalls,
-  /// shard deaths, and the drain join are traced unconditionally. Call
+  /// kDrainTraceStride batches and the producer one queue-stall span per
+  /// kDrainTraceStride stalls (stride-gated clock reads); shard deaths and
+  /// the drain join are traced unconditionally. Call
   /// before the first route(); detached cost is one branch per batch.
   /// Non-owning; the tracer must outlive the fan-out.
   void attach_tracer(obs::Tracer* tracer) noexcept;
@@ -227,11 +251,16 @@ class ShardFanout {
  private:
   struct Shard;  // queue, journal, ledgers and live gauges of one shard
 
+  void flush_skips(Shard& shard, std::uint32_t index);
+  void push(Shard& shard, std::uint32_t index, const ShardEntry& entry);
   void drain_batch(Shard& shard, std::uint32_t index, bool& did_work);
-  bool consume_record(Shard& shard, std::uint32_t index, const Request& req);
+  bool consume_entry(Shard& shard, std::uint32_t index,
+                     const ShardEntry& entry);
   void kill_shard(Shard& shard, std::uint32_t index);
   void maybe_snapshot(Shard& shard, std::uint32_t index);
-  bool try_resurrect(Shard& shard, std::uint32_t index, const Request& req);
+  void take_snapshot(Shard& shard, std::uint32_t index);
+  bool try_resurrect(Shard& shard, std::uint32_t index,
+                     const ShardEntry& entry);
   void drain_loop(unsigned worker_index);
 
   Config config_;
@@ -246,6 +275,7 @@ class ShardFanout {
   std::atomic<std::uint64_t> replayed_records_{0};   // journal records re-applied
   bool finished_ = false;
   std::uint64_t processed_ = 0;           // producer-side
+  std::uint64_t stalls_ = 0;              // producer-side
   double stall_seconds_ = 0.0;            // producer-side
   obs::Tracer* tracer_ = nullptr;         // unconditional: gauge-grade events
   obs::PipelineMetrics* metrics_ = nullptr;  // touched only when attached
@@ -268,6 +298,14 @@ class ShardFanout {
 /// shards and enforced from the consuming thread (space check + at most 64
 /// degrade() steps every 4096 per-shard accesses) — the RunGovernor's
 /// external loop cannot reach inside a threaded pipeline.
+///
+/// Filter before fan-out (DESIGN.md §12): access() hashes the key once;
+/// the top 32 bits pick the shard and the low 24 bits are tested against
+/// the largest shard sample_threshold(). A reference no shard can sample
+/// is counted on the producer and reaches its shard as a skip count
+/// riding on the next queued entry, so only sampled records cross the
+/// queues and the per-shard curves are unchanged. Models that do not opt
+/// in (the default threshold) pass every reference.
 ///
 /// Checkpointing composes: a snapshot first quiesces the fan-out (the
 /// producer waits until every routed record is reflected in its shard's
@@ -294,7 +332,7 @@ class ShardedEstimator final : public MrcEstimator {
     std::uint32_t shards = 1;
     /// Global memory budget (0 = ungoverned), split evenly across shards.
     /// In kReplay mode each share is further reduced by the journal
-    /// footprint (journal_records * sizeof(Request)), so the global ceiling
+    /// footprint (journal_records * 24 B per entry), so the global ceiling
     /// still bounds the whole pipeline.
     std::uint64_t max_stack_bytes = 0;
     /// Threads, queues, failure policy, replay journal and test hook.
@@ -378,12 +416,16 @@ class ShardedEstimator final : public MrcEstimator {
   /// applies the S/(S-F) survivor rescale. Idempotent.
   void ensure_merged() const;
   void require_finished(const char* what) const;
+  std::uint32_t shard_of_hash(std::uint64_t hash) const noexcept;
 
   mutable ShardFanout fanout_;
   mutable bool merged_ = false;
   mutable std::uint32_t merge_base_ = 0;          // first surviving shard
   mutable std::vector<ShardStats> shard_stats_;   // filled by finish()
   double configured_rate_ = 1.0;                  // shard 0's initial rate
+  /// The producer's gate: the largest shard sample_threshold() at
+  /// construction (the modulus, i.e. pass-all, for models not opted in).
+  std::uint64_t gate_threshold_ = 0;
 };
 
 }  // namespace krr

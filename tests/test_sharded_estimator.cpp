@@ -9,16 +9,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/estimator.h"
 #include "core/sharded_estimator.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "trace/generator.h"
 #include "trace/msr.h"
 #include "trace/zipf.h"
@@ -853,6 +858,134 @@ TEST(ShardedKrrProfiler, ExportsPerShardGauges) {
   const double d1 = registry.gauge("sharded.shard1.stack_depth").value();
   EXPECT_EQ(static_cast<std::uint64_t>(d0 + d1),
             est->run_report().stack_depth);
+}
+
+// ---------------------------------------------------------------------------
+// Filter before fan-out (DESIGN.md §12): at R < 1 the producer queues only
+// the records some shard can sample and hands each shard the count of the
+// rest with its next entry, or in a skip-only entry at quiesce()/finish().
+// ---------------------------------------------------------------------------
+
+void expect_same_bytes(const MissRatioCurve& expected,
+                       const MissRatioCurve& got, const std::string& context) {
+  ASSERT_EQ(expected.points().size(), got.points().size()) << context;
+  EXPECT_EQ(std::memcmp(expected.points().data(), got.points().data(),
+                        expected.points().size() *
+                            sizeof(MissRatioCurve::Point)),
+            0)
+      << context;
+}
+
+// Runs krr_sharded (S=4, T=2, R=0.01) over `trace`, checkpointing after
+// `cut` records and finishing on a freshly loaded instance. `fault_plan`,
+// when set, is armed for the resumed half only.
+MissRatioCurve checkpointed_low_rate_run(const std::vector<Request>& trace,
+                                         std::size_t cut,
+                                         const EstimatorOptions& opts,
+                                         const char* fault_plan,
+                                         RunReport* report) {
+  std::string blob;
+  {
+    auto first = make("krr_sharded", opts);
+    for (std::size_t i = 0; i < cut; ++i) first->access(trace[i]);
+    EXPECT_TRUE(first->save_state(&blob).is_ok());
+  }
+  auto resumed = make("krr_sharded", opts);
+  EXPECT_TRUE(resumed->load_state(blob).is_ok());
+  if (fault_plan != nullptr) {
+    EXPECT_TRUE(faults::arm(fault_plan).is_ok());
+  }
+  for (std::size_t i = cut; i < trace.size(); ++i) resumed->access(trace[i]);
+  resumed->finish();
+  faults::disarm();
+  *report = resumed->run_report();
+  return resumed->mrc();
+}
+
+EstimatorOptions low_rate_options() {
+  EstimatorOptions opts = krr_options(4, 2);
+  opts.set("rate", "0.01");
+  return opts;
+}
+
+TEST(ShardedKrrProfiler, LowRateMidRunCheckpointResumesBitIdentically) {
+  // The checkpoint lands between gated records: unless quiesce() flushes
+  // the producer's pending rejected counts, the saved shards under-count
+  // their references and the resumed SHARDS-adj correction drifts.
+  const auto trace = zipf_trace(2'000'000, 200'000, 0.7);
+  auto full = make("krr_sharded", low_rate_options());
+  const MissRatioCurve expected = run(*full, trace);
+  RunReport report;
+  const MissRatioCurve got = checkpointed_low_rate_run(
+      trace, 700'001, low_rate_options(), nullptr, &report);
+  expect_same_bytes(expected, got, "cut at 700001");
+  EXPECT_EQ(report.records_read, trace.size());
+}
+
+TEST(ShardedKrrProfiler, LowRateReplayAfterResumeIsBitIdentical) {
+  // A worker crash soon after the resume, before the shard's first
+  // mini-checkpoint of the new run: the replay must rebuild from the
+  // resumed state, then re-apply the journal's record and skip entries.
+  const auto trace = zipf_trace(2'000'000, 200'000, 0.7);
+  auto full = make("krr_sharded", low_rate_options());
+  const MissRatioCurve expected = run(*full, trace);
+  EstimatorOptions opts = low_rate_options();
+  opts.set("failure_mode", "replay");
+  RunReport report;
+  const MissRatioCurve got = checkpointed_low_rate_run(
+      trace, 700'001, opts, "sharded.worker#1@hit=50", &report);
+  expect_same_bytes(expected, got, "replay after resume");
+  EXPECT_EQ(report.shards_resurrected, 1u);
+  EXPECT_EQ(report.shards_failed, 0u);
+}
+
+TEST(ShardedKrrProfiler, GateQueuesOnlySampledRecords) {
+  const auto trace = zipf_trace(200000, 20000);
+  auto est = make("krr_sharded", low_rate_options());
+  obs::MetricsRegistry registry;
+  obs::PipelineMetrics metrics(registry);
+  est->attach_metrics(&metrics);
+  run(*est, trace);
+  const obs::HeartbeatSnapshot totals = est->snapshot();
+  EXPECT_EQ(totals.records, trace.size());
+  EXPECT_GT(totals.sampled, 0u);
+  EXPECT_EQ(registry.counter("sharded.enqueued").value(), totals.sampled);
+  EXPECT_EQ(registry.counter("filter.passed").value(), totals.sampled);
+  EXPECT_EQ(registry.counter("profiler.accesses").value(), trace.size());
+  EXPECT_EQ(registry.counter("filter.dropped").value(),
+            trace.size() - totals.sampled);
+}
+
+TEST(ShardFanout, QueueStallSpansAreStrideGated) {
+  // A 2-entry ring behind a slow worker stalls the producer on most pushes.
+  // One span per stall would overflow the producer's small trace ring and
+  // push out the events a trace validation looks for.
+  obs::Tracer tracer(/*ring_capacity=*/256);
+  obs::MetricsRegistry registry;
+  obs::PipelineMetrics metrics(registry);
+  ShardedEstimator::Config cfg = krr_config(2, 2);
+  cfg.fanout.queue_capacity = 2;
+  cfg.fanout.before_access_hook = [](std::uint32_t, const Request&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  };
+  ShardedEstimator est(cfg);
+  est.attach_metrics(&metrics);
+  est.attach_tracer(&tracer);
+  run(est, zipf_trace(3000, 500));
+  const std::uint64_t stalls =
+      registry.counter("sharded.producer_stalls").value();
+  std::uint64_t stall_spans = 0;
+  const obs::Json root = tracer.to_json();
+  const obs::Json* events = root.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    if (events->at(i).find("name")->as_string() == "sharded.queue_stall") {
+      ++stall_spans;
+    }
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_GT(stall_spans, 0u);
+  EXPECT_LT(stall_spans, stalls);
 }
 
 }  // namespace

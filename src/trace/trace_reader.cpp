@@ -203,21 +203,39 @@ void TraceReader::open() {
   }
 }
 
-bool TraceReader::next(Request& out) {
+std::size_t TraceReader::next_batch(Request* out, std::size_t n) {
   if (state_ == State::kUnopened) open();
-  if (state_ == State::kError) return false;
-  // Injected transient read faults surface as the same kIoError a flaky
-  // filesystem would, so stream_trace_file's retry loop is exercised for real.
-  if (faults::should_fire(faults::kTraceRead)) {
-    return fail(io_error("injected transient trace read fault after record " +
-                         std::to_string(report_.records_read)));
+  std::size_t got = 0;
+  while (got < n && state_ != State::kError) {
+    std::size_t want = n - got;
+    // Injected transient read faults surface as the same kIoError a flaky
+    // filesystem would, so stream_trace_file's retry loop is exercised for
+    // real. An armed plan is asked once per record, so the record a hit=N
+    // trigger fails after does not depend on the batch size.
+    if (faults::armed()) {
+      if (faults::should_fire(faults::kTraceRead)) {
+        fail(io_error("injected transient trace read fault after record " +
+                      std::to_string(report_.records_read)));
+        break;
+      }
+      want = 1;
+    }
+    // v2 may still hold delivered-but-unconsumed records from the last good
+    // block after the stream itself has ended (e.g. best-effort stopping at
+    // a damaged record mid-block), so take_v2 drains the buffer before it
+    // checks the state.
+    std::size_t k = 0;
+    if (report_.format_version == c::kVersion2) {
+      k = take_v2(out + got, want);
+    } else {
+      while (k < want && state_ == State::kStreaming && next_v1(out[got + k])) {
+        ++k;
+      }
+    }
+    got += k;
+    if (k < want) break;
   }
-  // v2 may still hold delivered-but-unconsumed records from the last good
-  // block after the stream itself has ended (e.g. best-effort stopping at a
-  // damaged record mid-block), so it drains the buffer before checking state.
-  if (report_.format_version == c::kVersion2) return next_v2(out);
-  if (state_ != State::kStreaming) return false;
-  return next_v1(out);
+  return got;
 }
 
 bool TraceReader::next_v1(Request& out) {
@@ -257,15 +275,20 @@ bool TraceReader::next_v1(Request& out) {
   }
 }
 
-bool TraceReader::next_v2(Request& out) {
-  for (;;) {
-    if (block_pos_ < block_.size()) {
-      out = block_[block_pos_++];
-      ++report_.records_read;
-      return true;
+std::size_t TraceReader::take_v2(Request* out, std::size_t n) {
+  std::size_t got = 0;
+  while (got < n) {
+    if (block_pos_ == block_.size() &&
+        (state_ != State::kStreaming || !load_block())) {
+      break;
     }
-    if (state_ != State::kStreaming || !load_block()) return false;
+    const std::size_t run = std::min(n - got, block_.size() - block_pos_);
+    std::copy_n(block_.data() + block_pos_, run, out + got);
+    block_pos_ += run;
+    got += run;
+    report_.records_read += run;
   }
+  return got;
 }
 
 /// Scans forward for the little-endian block magic, so kSkipAndCount can
@@ -447,14 +470,17 @@ StatusOr<std::vector<Request>> read_trace(std::istream& is,
                                           TraceReadReport* report) {
   TraceReader reader(is, options);
   std::vector<Request> trace;
-  Request r;
-  bool reserved = false;
-  while (reader.next(r)) {
-    if (!reserved) {
-      trace.reserve(static_cast<std::size_t>(reader.reserve_hint()));
-      reserved = true;
+  // Batches land in the vector's tail. The first one opens the reader, after
+  // which its clamped reserve hint is known.
+  constexpr std::size_t kBatch = 4096;
+  for (std::size_t got = kBatch; got == kBatch;) {
+    const std::size_t size = trace.size();
+    trace.resize(size + kBatch);
+    got = reader.next_batch(trace.data() + size, kBatch);
+    trace.resize(size + got);
+    if (size == 0 && got > 0) {
+      trace.reserve(static_cast<std::size_t>(reader.reserve_hint()) + kBatch);
     }
-    trace.push_back(r);
   }
   if (report) *report = reader.report();
   if (!reader.status().is_ok()) return reader.status();
@@ -464,8 +490,7 @@ StatusOr<std::vector<Request>> read_trace(std::istream& is,
 Status stream_trace_file(const std::string& path,
                          const TraceReaderOptions& options, std::uint64_t skip,
                          const TraceBlockSink& sink, TraceReadReport* report) {
-  std::vector<Request> block;
-  block.reserve(kStreamBlockRecords);
+  std::vector<Request> block(kStreamBlockRecords);
   // Records skipped or handed over so far: a reopened read discards these.
   std::uint64_t consumed = skip;
   std::uint64_t retries = 0;
@@ -475,15 +500,25 @@ Status stream_trace_file(const std::string& path,
       if (!is) return io_error("cannot open for read: " + path);
       TraceReader reader(is, options);
       std::uint64_t position = 0;  // records read by this attempt
-      Request r;
       for (bool more = true; more;) {
-        block.clear();
-        while (block.size() < kStreamBlockRecords && (more = reader.next(r))) {
-          if (position++ >= consumed) block.push_back(r);
+        // Read batches into the block's free tail, dropping from each batch's
+        // front the records before `consumed` (skipped, or handed over before
+        // a reopen).
+        std::size_t fill = 0;
+        while (more && fill < block.size()) {
+          const std::size_t want = block.size() - fill;
+          Request* batch = block.data() + fill;
+          const std::size_t got = reader.next_batch(batch, want);
+          const std::uint64_t behind = consumed > position ? consumed - position : 0;
+          const auto drop = static_cast<std::size_t>(std::min<std::uint64_t>(got, behind));
+          position += got;
+          if (drop > 0) std::copy(batch + drop, batch + got, batch);
+          fill += got - drop;
+          more = got == want;
         }
-        if (!reader.status().is_ok() || block.empty()) break;
+        if (!reader.status().is_ok() || fill == 0) break;
         consumed = position;
-        if (!sink(block)) break;
+        if (!sink(std::span<const Request>(block.data(), fill))) break;
       }
       if (report != nullptr) *report = reader.report();
       return reader.status();

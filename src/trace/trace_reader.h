@@ -96,16 +96,22 @@ void fold_ingest_metrics(const TraceReadReport& report,
 ///   if (!reader.status().is_ok()) ...   // typed failure
 ///   reader.report();                    // skip/corruption accounting
 ///
-/// next() never throws; header and record problems surface through
-/// status() according to the recovery policy.
+/// next() and next_batch() never throw; header and record problems surface
+/// through status() according to the recovery policy.
 class TraceReader {
  public:
   explicit TraceReader(std::istream& is, const TraceReaderOptions& options = {});
 
-  /// Delivers the next record. Returns false at end of stream *or* on
-  /// error — distinguish via status(): OK means a clean (or policy-
-  /// accepted) end.
-  bool next(Request& out);
+  /// Delivers up to n records into out[0, n) and returns how many. A short
+  /// count means end of stream *or* error — distinguish via status(): OK
+  /// means a clean (or policy-accepted) end. v2 copies whole runs of the
+  /// decoded block at once. While a fault plan is armed, the trace.read
+  /// fault point is asked once per record (and once for the end-of-stream
+  /// read), so trace.read@hit=N fails after record N-1 at any batch size.
+  std::size_t next_batch(Request* out, std::size_t n);
+
+  /// Delivers the next record: next_batch(&out, 1) == 1.
+  bool next(Request& out) { return next_batch(&out, 1) == 1; }
 
   const Status& status() const noexcept { return status_; }
   const TraceReadReport& report() const noexcept { return report_; }
@@ -120,7 +126,7 @@ class TraceReader {
 
   void open();
   bool next_v1(Request& out);
-  bool next_v2(Request& out);
+  std::size_t take_v2(Request* out, std::size_t n);
   bool load_block();
   bool resync_to_block_magic();
   bool fail(Status status);

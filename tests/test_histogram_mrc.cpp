@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/histogram.h"
 #include "util/mrc.h"
@@ -127,6 +132,45 @@ TEST(MissRatioCurve, CsvOutputHasHeaderAndRows) {
   std::ostringstream labeled;
   curve.write_csv(labeled, "x");
   EXPECT_EQ(labeled.str(), "label,size,miss_ratio\nx,0,1\nx,4,0.25\n");
+}
+
+TEST(MissRatioCurve, CsvBytesMatchOstreamFormatting) {
+  // write_csv formats with std::to_chars (general, precision 6); the bytes
+  // must equal what a default ostream writes, for object counts, byte sizes
+  // past 1e6 (exponent form), ratios near 0 and 1, and enough rows to cross
+  // the writer's 64 KiB flushes.
+  std::mt19937_64 rng(5);
+  std::vector<MissRatioCurve::Point> points;
+  for (int i = 0; i < 20000; ++i) {
+    double size = static_cast<double>(i);  // an object count
+    if (i % 3 == 1) {  // up to ~2^40: six significant digits, then exponents
+      size = std::ldexp(1.0 + static_cast<double>(rng() % 1000) / 997.0, i % 40);
+    } else if (i % 3 == 2) {  // fractional sizes
+      size = static_cast<double>(rng() % 4000000000ULL) / 7.0;
+    }
+    const double ratio = std::ldexp(static_cast<double>(rng() >> 11), -53) /
+                         std::ldexp(1.0, static_cast<int>(rng() % 30));
+    points.push_back({size, ratio});
+  }
+  points.push_back({1e300, 1.0});
+  const MissRatioCurve curve(points);
+  for (const std::string label : {"", "krr:k=5"}) {
+    SCOPED_TRACE(label);
+    std::ostringstream expected;
+    expected << (label.empty() ? "size,miss_ratio\n" : "label,size,miss_ratio\n");
+    for (const auto& p : curve.points()) {
+      if (!label.empty()) expected << label << ',';
+      expected << p.size << ',' << p.miss_ratio << '\n';
+    }
+    std::ostringstream os;
+    curve.write_csv(os, label);
+    const std::string got = os.str(), want = expected.str();
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    const std::size_t at = static_cast<std::size_t>(diff.first - got.begin());
+    EXPECT_TRUE(got == want) << "first difference at byte " << at << ": \""
+                             << got.substr(at, 40) << "\" vs \"" << want.substr(at, 40)
+                             << '"';
+  }
 }
 
 TEST(EvenlySpacedSizes, CoversUpToMax) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -512,6 +513,83 @@ TEST_F(FaultedIo, StreamTraceFileResumesAfterTheLastDeliveredRecord) {
     EXPECT_EQ(blocks, 3u);
     EXPECT_EQ(report.read_retries, 1u);
     EXPECT_EQ(report.records_read, trace.size());
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(FaultedIo, TraceReadHitPinsTheFailingRecord) {
+  // trace.read is asked once per record plus once for the end-of-stream
+  // read, whatever the delivery batch size. The expected values were
+  // recorded from the record-at-a-time reader: hit=N fails after record N-1,
+  // a stream block holding all 20k records is never handed over in part,
+  // and a retry re-reads the whole 20k (20,001 more hits).
+  ZipfianGenerator gen(5000, 0.9, 7, true);
+  const auto trace = materialize(gen, 20000);
+  const std::string path = temp_path("read_fault_pin.bin");
+  {
+    std::ofstream os(path, std::ios::binary);
+    write_trace_binary_v2(os, trace);  // 4096-record blocks
+  }
+  struct Pin {
+    std::uint64_t hit;               // inside a block, a block boundary, EOS
+    std::uint64_t failed_after;      // records read when the fault fires
+    std::uint64_t hits_with_retry;   // faults::hits after the retried stream
+  };
+  for (const Pin& pin : {Pin{5000, 4999, 25001}, Pin{8193, 8192, 28194},
+                         Pin{20001, 20000, 40002}}) {
+    SCOPED_TRACE(pin.hit);
+    const std::string plan = "trace.read@hit=" + std::to_string(pin.hit);
+    const std::string message = "injected transient trace read fault after record " +
+                                std::to_string(pin.failed_after);
+    const auto stream = [&](unsigned attempts, std::vector<Request>* delivered,
+                            TraceReadReport* report) {
+      faults::disarm();
+      EXPECT_TRUE(faults::arm(plan).is_ok());
+      TraceReaderOptions options;
+      options.read_retry.max_attempts = attempts;
+      options.read_retry.base_delay_ms = 0.0;
+      return stream_trace_file(
+          path, options, 0,
+          [&](std::span<const Request> block) {
+            delivered->insert(delivered->end(), block.begin(), block.end());
+            return true;
+          },
+          report);
+    };
+
+    // No retry: the fault ends the stream before its only block is handed
+    // over.
+    std::vector<Request> delivered;
+    TraceReadReport report;
+    Status status = stream(1, &delivered, &report);
+    EXPECT_EQ(status, io_error(message));
+    EXPECT_TRUE(delivered.empty());
+    EXPECT_EQ(report.records_read, pin.failed_after);
+    EXPECT_EQ(report.read_retries, 0u);
+    EXPECT_EQ(faults::hits("trace.read"), pin.hit);
+
+    // One retry: every record once, in order.
+    delivered.clear();
+    status = stream(2, &delivered, &report);
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    EXPECT_EQ(delivered, trace);
+    EXPECT_EQ(report.read_retries, 1u);
+    EXPECT_EQ(faults::hits("trace.read"), pin.hits_with_retry);
+
+    // The reader alone, at the stream's batch size: the delivered prefix
+    // stops at the same record.
+    faults::disarm();
+    ASSERT_TRUE(faults::arm(plan).is_ok());
+    std::ifstream is(path, std::ios::binary);
+    TraceReader reader(is);
+    std::vector<Request> batch(kStreamBlockRecords);
+    const std::size_t got = reader.next_batch(batch.data(), batch.size());
+    EXPECT_EQ(got, pin.failed_after);
+    EXPECT_TRUE(std::equal(batch.begin(),
+                           batch.begin() + static_cast<std::ptrdiff_t>(got),
+                           trace.begin()));
+    EXPECT_EQ(reader.status(), io_error(message));
+    EXPECT_EQ(faults::hits("trace.read"), pin.hit);
   }
   std::remove(path.c_str());
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "util/crc32.h"
 #include "util/status.h"
@@ -87,6 +90,60 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(inc.value(), crc32(data.data(), data.size()));
   inc.reset();
   EXPECT_EQ(inc.value(), 0u);
+}
+
+/// Bitwise CRC-32 straight from the polynomial, no table: the reference the
+/// sliced implementation must match.
+std::uint32_t reference_crc32(const unsigned char* data, std::size_t length,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < length; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng());
+  return bytes;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..64 cover the 8-byte sliced body, the byte-wise tail and
+  // every mix of the two; offsets 0..7 cover every alignment of the body.
+  const auto bytes = random_bytes(64 + 8, 1);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      EXPECT_EQ(crc32(bytes.data() + offset, length),
+                reference_crc32(bytes.data() + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnAMebibyte) {
+  const auto bytes = random_bytes(1 << 20, 2);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()),
+            reference_crc32(bytes.data(), bytes.size()));
+  // A nonzero seed continues a running CRC the same way.
+  EXPECT_EQ(crc32(bytes.data(), bytes.size(), 0xDEADBEEFu),
+            reference_crc32(bytes.data(), bytes.size(), 0xDEADBEEFu));
+}
+
+TEST(Crc32, IncrementalMatchesReferenceAtEverySplit) {
+  const auto bytes = random_bytes(100, 3);
+  const std::uint32_t whole = reference_crc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    Crc32 inc;
+    inc.update(bytes.data(), split);
+    inc.update(bytes.data() + split, bytes.size() - split);
+    EXPECT_EQ(inc.value(), whole) << "split " << split;
+  }
 }
 
 TEST(Crc32, DetectsSingleBitFlips) {

@@ -271,6 +271,116 @@ TEST(TraceReaderV2, HeaderCrcGuardsHostileFields) {
   EXPECT_EQ(report.checksum_failures, 1u);
 }
 
+/// One read of `bytes`: every record delivered, the final status and the
+/// report.
+struct ReadOutcome {
+  std::vector<Request> records;
+  Status status;
+  TraceReadReport report;
+};
+
+/// Reads by next() when batch == 0, else by next_batch(batch) until a short
+/// count.
+ReadOutcome read_all(const std::string& bytes, const TraceReaderOptions& options,
+                     std::size_t batch) {
+  std::stringstream ss(bytes);
+  TraceReader reader(ss, options);
+  ReadOutcome out;
+  if (batch == 0) {
+    Request r;
+    while (reader.next(r)) out.records.push_back(r);
+  } else {
+    std::vector<Request> buf(batch);
+    for (std::size_t got = batch; got == batch;) {
+      got = reader.next_batch(buf.data(), batch);
+      out.records.insert(out.records.end(), buf.begin(),
+                         buf.begin() + static_cast<std::ptrdiff_t>(got));
+    }
+  }
+  out.status = reader.status();
+  out.report = reader.report();
+  return out;
+}
+
+auto report_fields(const TraceReadReport& r) {
+  return std::make_tuple(r.records_read, r.records_skipped, r.checksum_failures,
+                         r.resyncs, r.bytes_read, r.bytes_discarded,
+                         r.declared_records, r.format_version, r.read_retries,
+                         r.truncated_tail);
+}
+
+void set_u64(std::string& bytes, std::size_t offset, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) bytes[offset + i] = static_cast<char>(v >> (8 * i));
+}
+
+TEST(TraceReaderBatch, EveryBatchSizeMatchesRecordAtATime) {
+  const auto trace = make_trace(1000);
+  const std::string v2 = to_v2_bytes(trace, 64);  // 16 blocks, the last short
+  const std::size_t block_bytes = 12 + 64 * 13;
+  std::vector<std::pair<std::string, std::string>> inputs;
+  inputs.emplace_back("v1", to_v1_bytes(trace));
+  inputs.emplace_back("v2", v2);
+  inputs.emplace_back("v2 rpb 5000", to_v2_bytes(trace, 5000));
+  {
+    std::string bytes = v2;  // flip a payload byte of block 3
+    bytes[28 + 2 * block_bytes + 12 + 40] ^= 0x08;
+    inputs.emplace_back("bad block crc", bytes);
+  }
+  {
+    std::string bytes = v2;  // destroy block 2's magic: resync on block 3
+    bytes[28 + block_bytes] = 'X';
+    inputs.emplace_back("bad block magic", bytes);
+  }
+  {
+    std::string bytes = v2;  // every block fails its CRC: budget exceeded
+    for (std::size_t b = 0; b < 16; ++b) bytes[28 + b * block_bytes + 12] ^= 0x01;
+    inputs.emplace_back("every block bad", bytes);
+  }
+  inputs.emplace_back("v2 truncated mid-block",
+                      v2.substr(0, 28 + 5 * block_bytes + 12 + 300));
+  inputs.emplace_back("v1 truncated mid-record",
+                      to_v1_bytes(trace).substr(0, 20 + 500 * 13 + 6));
+  {
+    // Corrupt an op byte in block 4 and refresh that block's CRC: the block
+    // checksums clean but holds an invalid record.
+    std::string bytes = v2;
+    const std::size_t payload = 28 + 3 * block_bytes + 12;
+    bytes[payload + 10 * 13 + 12] = 7;
+    const std::uint32_t crc = crc32(bytes.data() + payload, 64 * 13);
+    for (int i = 0; i < 4; ++i) {
+      bytes[payload - 4 + i] = static_cast<char>(crc >> (8 * i));
+    }
+    inputs.emplace_back("bad op byte in a checksummed block", bytes);
+  }
+  {
+    std::string bytes = to_v1_bytes(trace);
+    set_u64(bytes, 12, 1ULL << 60);
+    inputs.emplace_back("v1 hostile count", bytes);
+  }
+  {
+    std::string bytes = v2;  // the header CRC catches the hostile count
+    set_u64(bytes, 12, 1ULL << 60);
+    inputs.emplace_back("v2 hostile count", bytes);
+  }
+
+  for (const auto& [name, bytes] : inputs) {
+    for (const RecoveryPolicy policy :
+         {RecoveryPolicy::kStrict, RecoveryPolicy::kSkipAndCount,
+          RecoveryPolicy::kBestEffort}) {
+      SCOPED_TRACE(name + " / " + recovery_policy_name(policy));
+      const TraceReaderOptions options{.policy = policy, .max_bad_records = 100};
+      const ReadOutcome expected = read_all(bytes, options, 0);
+      for (const std::size_t batch : {1u, 7u, 4096u, 65536u}) {
+        SCOPED_TRACE(batch);
+        const ReadOutcome got = read_all(bytes, options, batch);
+        EXPECT_EQ(got.records, expected.records);
+        EXPECT_EQ(got.status, expected.status);
+        EXPECT_EQ(report_fields(got.report), report_fields(expected.report));
+      }
+    }
+  }
+}
+
 TEST(TraceCsv, AcceptsCrlfAndTrailingWhitespace) {
   std::stringstream ss("key,size,op\r\n1,100,get\r\n2, 200 ,set \r\n");
   const auto trace = read_trace_csv(ss);

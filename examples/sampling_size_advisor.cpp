@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   const auto sizes = krr::evenly_spaced_sizes(wss, 16);
   const double spread = curves.front().max_error(curves.back(), sizes);
   std::printf("\nmax spread between K=1 and K=32 curves: %.4f\n", spread);
-  // Same Type A threshold as bench_fig5_2_type_a_b.
+  // Same Type A threshold as `paper_bench fig5_2`.
   if (spread < 0.05) {
     std::printf("=> Type B workload: K barely matters. Use a small K (1-2)\n"
                 "   to minimize eviction sampling cost.\n");

@@ -33,7 +33,7 @@ namespace krr {
 /// workloads.
 ///
 /// SHARDS models the exact LRU policy only; the paper's point (§5.3) is
-/// that it cannot capture K-LRU for small K, which bench_fig5_2 shows.
+/// that it cannot capture K-LRU for small K, which `paper_bench fig5_2` shows.
 class ShardsProfiler {
  public:
   /// rate: spatial sampling rate in (0, 1].

@@ -73,7 +73,7 @@ class SwapSampler {
   double no_swap_probability(std::uint64_t a, std::uint64_t b) const;
 
   /// Expected number of swap positions for a reference at distance phi
-  /// (Corollary 1); used by the overhead model in bench_fig5_4.
+  /// (Corollary 1): the growth in K that `paper_bench fig5_4` measures.
   double expected_swaps(std::uint64_t phi) const;
 
  private:

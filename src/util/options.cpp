@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -39,14 +40,15 @@ std::string Options::get_string(const std::string& name, const std::string& def)
 namespace {
 
 /// Parses all of `text` as a T; a partial parse (trailing junk, "1e2" for an
-/// integer) or an out-of-range value throws, naming the flag.
+/// integer) or an out-of-range value throws, naming `source` (the flag or
+/// environment variable).
 template <typename T>
-T parse_whole(const std::string& name, const std::string& text, const char* kind) {
+T parse_whole(const std::string& source, const std::string& text, const char* kind) {
   T out{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, out);
   if (ec != std::errc() || ptr != end) {
-    throw std::invalid_argument("--" + name + ": bad " + kind + " '" + text + "'");
+    throw std::invalid_argument(source + ": bad " + kind + " '" + text + "'");
   }
   return out;
 }
@@ -56,22 +58,28 @@ T parse_whole(const std::string& name, const std::string& text, const char* kind
 std::int64_t Options::get_int(const std::string& name, std::int64_t def) const {
   auto v = get(name);
   if (!v || v->empty()) return def;
-  return parse_whole<std::int64_t>(name, *v, "integer");
+  return parse_whole<std::int64_t>("--" + name, *v, "integer");
 }
 
 double Options::get_double(const std::string& name, double def) const {
   auto v = get(name);
   if (!v || v->empty()) return def;
-  return parse_whole<double>(name, *v, "number");
+  return parse_whole<double>("--" + name, *v, "number");
+}
+
+double parse_bench_scale(const char* text) {
+  if (text == nullptr || *text == '\0') return 1.0;
+  const double v = parse_whole<double>("KRR_BENCH_SCALE", text, "number");
+  if (!std::isfinite(v) || v <= 0.0) {
+    throw std::invalid_argument("KRR_BENCH_SCALE: bad number '" +
+                                std::string(text) +
+                                "' (want a finite number above 0)");
+  }
+  return v;
 }
 
 double bench_scale() {
-  static const double scale = [] {
-    const char* env = std::getenv("KRR_BENCH_SCALE");
-    if (!env || !*env) return 1.0;
-    const double v = std::atof(env);
-    return v > 0.0 ? v : 1.0;
-  }();
+  static const double scale = parse_bench_scale(std::getenv("KRR_BENCH_SCALE"));
   return scale;
 }
 

@@ -35,10 +35,16 @@ class Options {
   std::vector<std::string> positional_;
 };
 
+/// Parses a KRR_BENCH_SCALE value: null or empty means 1.0; anything else
+/// must parse in full as a finite number above 0, or std::invalid_argument
+/// naming the variable is thrown ("0,3", "0.3x", "-1", "inf" are all bad).
+double parse_bench_scale(const char* text);
+
 /// Global benchmark scale factor, from the KRR_BENCH_SCALE environment
-/// variable (default 1.0). Bench binaries multiply their trace lengths by
-/// this, so `KRR_BENCH_SCALE=10 ./bench_...` approaches paper-sized runs
-/// while the default stays laptop-friendly.
+/// variable (default 1.0). paper_bench multiplies its trace lengths by
+/// this, so `KRR_BENCH_SCALE=10 paper_bench table5_1` approaches
+/// paper-sized runs while the default stays laptop-friendly. Throws like
+/// parse_bench_scale on a malformed value.
 double bench_scale();
 
 /// n scaled by bench_scale(), never below min_value.

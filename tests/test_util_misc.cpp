@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/options.h"
@@ -69,6 +71,21 @@ TEST(Options, EmptyValueFallsBackToDefault) {
   const char* argv[] = {"prog", "--n="};
   Options opts(2, const_cast<char**>(argv));
   EXPECT_EQ(opts.get_int("n", 7), 7);
+}
+
+TEST(BenchScale, ParsesInFullOrThrowsNamingTheVariable) {
+  EXPECT_EQ(parse_bench_scale(nullptr), 1.0);
+  EXPECT_EQ(parse_bench_scale(""), 1.0);
+  EXPECT_EQ(parse_bench_scale("0.3"), 0.3);
+  EXPECT_EQ(parse_bench_scale("10"), 10.0);
+  for (const char* bad : {"abc", "-1", "0", "0,3", "0.3x", " 0.3", "inf", "nan"}) {
+    try {
+      parse_bench_scale(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("KRR_BENCH_SCALE"), std::string::npos);
+    }
+  }
 }
 
 TEST(Scaled, HonorsMinimum) {

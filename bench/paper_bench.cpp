@@ -30,6 +30,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -149,12 +150,15 @@ MissRatioCurve run_model(const std::string& name, const EstimatorOptions& option
 /// neighbor ramping up) lands on every configuration equally instead of
 /// biasing whichever one happened to run last — essential when the
 /// quantity of interest is a percent-level ratio between configurations,
-/// as in the obs_overhead budget.
+/// as in the obs_overhead budget. Round r starts at configuration
+/// r mod configs.size(), so no configuration always runs first, in the
+/// state the previous round's last pass left behind.
 std::vector<double> interleaved_median_seconds(
     int repeats, const std::vector<std::function<void()>>& configs) {
   std::vector<std::vector<double>> runs(configs.size());
   for (int rep = 0; rep < repeats; ++rep) {
-    for (std::size_t c = 0; c < configs.size(); ++c) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const std::size_t c = (static_cast<std::size_t>(rep) + i) % configs.size();
       double seconds = 0.0;
       {
         ScopedTimer timer(seconds);
@@ -1013,8 +1017,9 @@ void table5_6(Claims& claims) {
 //
 // reference_oracle models (O(M) per access) are skipped — they would take
 // hours at bench scale and their accuracy is covered by `ctest -L models`.
-// Sharded adapters run here too: their MAE and pass time sit next to the
-// serial model's.
+// Sharded adapters run here too, with their serial model's knobs, at the
+// default S = 1: their MAE must equal the serial model's, and their pass
+// time sits next to it.
 void ablation_models(Claims& claims) {
   const std::size_t n = scaled(300000);
   const auto w = make_msr("web", n, 15000, 1);  // Type A trace
@@ -1040,8 +1045,14 @@ void ablation_models(Claims& claims) {
       "interval", std::to_string(std::max<std::uint64_t>(100, n / 400)));
   overrides["mimir"].set("buckets", "128");
 
+  constexpr std::string_view kShardedSuffix = "_sharded";
+  const auto serial_name = [&](const std::string& name) {
+    return name.ends_with(kShardedSuffix)
+               ? name.substr(0, name.size() - kShardedSuffix.size())
+               : name;
+  };
   std::vector<std::string> skipped;
-  double krr_mae = 0.0;
+  std::map<std::string, double> mae_of;
   for (const EstimatorInfo& info : EstimatorRegistry::instance().list()) {
     if (info.caps.reference_oracle) {
       skipped.push_back(info.name);
@@ -1049,15 +1060,21 @@ void ablation_models(Claims& claims) {
     }
     EstimatorOptions options;
     options.set("k", std::to_string(k));
-    if (const auto it = overrides.find(info.name); it != overrides.end()) {
+    if (const auto it = overrides.find(serial_name(info.name)); it != overrides.end()) {
       options.merge(it->second);
     }
     double sec = 0.0;
     const MissRatioCurve curve = run_model(info.name, options, w.trace, sizes, &sec);
     const MissRatioCurve& truth = info.caps.models_klru ? klru_truth : lru_truth;
     const double mae = curve.mae(truth, sizes);
-    if (info.name == "krr") krr_mae = mae;
+    mae_of[info.name] = mae;
     table.add(info.name, info.caps.models_klru ? "K-LRU" : "LRU", mae, sec);
+  }
+  const double krr_mae = mae_of.at("krr");
+  std::string sharded_mismatch;
+  for (const auto& [name, mae] : mae_of) {
+    const std::string serial = serial_name(name);
+    if (serial != name && mae_of.at(serial) != mae) sharded_mismatch += " " + name;
   }
 
   // Non-registry techniques and ablation-specific configurations.
@@ -1094,6 +1111,9 @@ void ablation_models(Claims& claims) {
   claims.check(8.0 * krr_mae < lru_gap,
                "krr K-LRU MAE < 1/8 of the exact_LRU_model gap",
                format_double(krr_mae, 4) + " vs " + format_double(lru_gap, 4));
+  claims.check(sharded_mismatch.empty(),
+               "every _sharded adapter (S = 1) scores its serial model's MAE",
+               sharded_mismatch.empty() ? "all equal" : "differs:" + sharded_mismatch);
 }
 
 // Ablation: var-KRR design choices — sizeArray base b in {2, 4, 8, 16}

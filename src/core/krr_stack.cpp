@@ -222,27 +222,63 @@ KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t si
     last_exact_byte_distance_ = exact_bytes_->byte_distance(phi);
   }
 
-  // Sample the swap chain and rotate: resident of chain[j] moves to
-  // chain[j+1]; the referenced object lands on top. Slots travel with their
-  // keys, so each move updates its slot's position without hashing.
-  sampler_.sample(phi, rng_, chain_);
-  swaps_performed_ += chain_.size();
-  if (phi == 1) return result;
-  if (size_array_) size_array_->on_rotate(chain_, sizes_, size);
-  if (exact_bytes_) exact_bytes_->on_rotate(chain_, sizes_, size);
-  for (std::size_t j = chain_.size(); j-- > 1;) {
-    const std::uint64_t dst = chain_[j] - 1;
-    const std::uint64_t src = chain_[j - 1] - 1;
-    stack_[dst] = stack_[src];
-    sizes_[dst] = sizes_[src];
-    slots_[dst] = slots_[src];
-    slot_pos_[slots_[dst]] = static_cast<std::uint32_t>(dst);
+  if (phi == 1) {
+    ++swaps_performed_;  // the chain is just {1}: nothing moves
+    return result;
   }
-  stack_[0] = key;
-  sizes_[0] = size;
-  slots_[0] = slot;
-  slot_pos_[slot] = 0;
+  if (size_array_) {
+    rotate<true>(phi, key, size, slot);
+  } else {
+    rotate<false>(phi, key, size, slot);
+  }
   return result;
+}
+
+template <bool kTrackBytes>
+void KrrStack::rotate(std::uint64_t phi, std::uint64_t key, std::uint32_t size,
+                      std::uint32_t slot) {
+  // One descending pass: each swap position x, from the largest down to 1,
+  // moves its resident down to the previous swap position (phi, the
+  // referenced object's, first), and the referenced object lands at 1. Slots travel
+  // with their keys, so each move updates its slot's position without
+  // hashing. The byte trackers are charged before the move, while sizes
+  // still holds both the mover's and the displaced object's size. The
+  // step captures only plain pointers, so it keeps them in registers
+  // across the walk.
+  std::uint64_t* const keys = stack_.data();
+  std::uint32_t* const sizes = sizes_.data();
+  std::uint32_t* const slots = slots_.data();
+  std::uint32_t* const slot_pos = slot_pos_.data();
+  SizeArray* const size_array = size_array_.get();
+  ExactByteTracker* const exact = exact_bytes_.get();
+  const auto move = [=](std::uint64_t x, std::uint64_t to) {
+    const std::uint64_t src = x - 1;
+    const std::uint64_t dst = to - 1;
+    if constexpr (kTrackBytes) {
+      size_array->on_move(x, sizes[src]);
+      if (exact != nullptr) exact->on_move(to, sizes[src], sizes[dst]);
+    }
+    const std::uint32_t moved = slots[src];
+    keys[dst] = keys[src];
+    sizes[dst] = sizes[src];
+    slots[dst] = moved;
+    slot_pos[moved] = static_cast<std::uint32_t>(dst);
+  };
+  if constexpr (kTrackBytes) size_array->begin_rotation(phi, size);
+  if (config_.strategy == UpdateStrategy::kBackward) {
+    swaps_performed_ += 1 + sampler_.walk_backward(phi, rng_, move);  // phi too
+  } else {
+    sampler_.sample(phi, rng_, chain_);
+    for (std::size_t j = chain_.size() - 1; j-- > 0;) move(chain_[j], chain_[j + 1]);
+    swaps_performed_ += chain_.size();
+  }
+  if constexpr (kTrackBytes) {
+    if (exact != nullptr) exact->on_move(1, size, sizes[0]);
+  }
+  keys[0] = key;
+  sizes[0] = size;
+  slots[0] = slot;
+  slot_pos[slot] = 0;
 }
 
 }  // namespace krr

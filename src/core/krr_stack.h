@@ -96,12 +96,14 @@ class KeySlotIndex {
 
 /// The KRR probabilistic stack (§4.1): a Mattson stack whose maxPriority
 /// function keeps the resident of position i with probability ((i-1)/i)^K.
-/// The stack is a flat array of keys updated by rotating the sampled swap
-/// chain, so one access costs O(K log M) expected with the backward
-/// strategy. Each resident also has a dense slot id: a flat key -> slot
-/// index is probed once per access, and a slot -> position array, moved
-/// along with the keys, gives the key's position without hashing on any
-/// swap (§4.4's hash plus array, with the hash off the rotation path).
+/// The stack is a flat array of keys updated by rotating along the sampled
+/// swap chain in one descending pass: with the backward strategy each
+/// resident moves as soon as Alg. 2's walk draws its position, so one
+/// access costs O(K log M) expected and never materializes the chain.
+/// Each resident also has a dense slot id: a flat key -> slot index is
+/// probed once per access, and a slot -> position array, moved along with
+/// the keys, gives the key's position without hashing on any swap (§4.4's
+/// hash plus array, with the hash off the rotation path).
 class KrrStack {
  public:
   struct AccessResult {
@@ -183,6 +185,11 @@ class KrrStack {
   /// a key repeats.
   bool rebuild_auxiliary();
   AccessResult access_instrumented(std::uint64_t key, std::uint32_t size);
+  /// The stack update for a reference at phi >= 2 (key, size, slot): one
+  /// descending pass over the swap positions, each moving its resident
+  /// down to the previous one, with the byte trackers charged per move.
+  template <bool kTrackBytes>
+  void rotate(std::uint64_t phi, std::uint64_t key, std::uint32_t size, std::uint32_t slot);
 
   KrrStackConfig config_;
   SwapSampler sampler_;
@@ -192,7 +199,7 @@ class KrrStack {
   std::vector<std::uint32_t> slots_;   // aligned with stack_: slot ids
   std::vector<std::uint32_t> slot_pos_;  // slot id -> index in stack_
   KeySlotIndex index_;                 // key -> slot id
-  std::vector<std::uint64_t> chain_;   // reused swap-chain buffer
+  std::vector<std::uint64_t> chain_;   // swap-chain buffer (linear, top-down)
   std::unique_ptr<SizeArray> size_array_;
   std::unique_ptr<ExactByteTracker> exact_bytes_;
   std::optional<std::uint64_t> last_exact_byte_distance_;

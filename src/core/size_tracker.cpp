@@ -41,19 +41,9 @@ void SizeArray::on_rotate(std::span<const std::uint64_t> chain,
                           std::span<const std::uint32_t> sizes_before,
                           std::uint32_t ref_size) {
   if (chain.empty()) throw std::invalid_argument("swap chain must be non-empty");
-  const std::uint64_t phi = chain.back();
-  // For every boundary p < phi, exactly one object crosses out of the
-  // prefix [1, p]: the resident of the largest swap position <= p (its
-  // rotation destination is the next swap position, which is > p), while
-  // the referenced object enters at position 1.
-  std::size_t ci = 0;  // index of the largest chain position <= boundary
-  for (std::size_t j = 0; j < boundaries_.size(); ++j) {
-    const std::uint64_t p = boundaries_[j];
-    if (p >= phi) break;
-    while (ci + 1 < chain.size() && chain[ci + 1] <= p) ++ci;
-    const std::uint64_t crossing_pos = chain[ci];
-    sums_[j] += ref_size;
-    sums_[j] -= sizes_before[crossing_pos - 1];
+  begin_rotation(chain.back(), ref_size);
+  for (std::size_t j = chain.size() - 1; j-- > 0;) {
+    on_move(chain[j], sizes_before[chain[j] - 1]);
   }
 }
 
@@ -107,17 +97,10 @@ void ExactByteTracker::on_rotate(std::span<const std::uint64_t> chain,
                                  std::span<const std::uint32_t> sizes_before,
                                  std::uint32_t ref_size) {
   if (chain.empty()) throw std::invalid_argument("swap chain must be non-empty");
-  // Rotation: resident of chain[j] moves to chain[j+1]; the referenced
-  // object lands at position 1 (== chain[0]).
   for (std::size_t j = chain.size(); j-- > 1;) {
-    const std::uint64_t dst = chain[j];
-    const std::int64_t delta = static_cast<std::int64_t>(sizes_before[chain[j - 1] - 1]) -
-                               static_cast<std::int64_t>(sizes_before[dst - 1]);
-    if (delta != 0) sizes_.add(dst, delta);
+    on_move(chain[j], sizes_before[chain[j - 1] - 1], sizes_before[chain[j] - 1]);
   }
-  const std::int64_t top_delta = static_cast<std::int64_t>(ref_size) -
-                                 static_cast<std::int64_t>(sizes_before[0]);
-  if (top_delta != 0) sizes_.add(1, top_delta);
+  on_move(1, ref_size, sizes_before[0]);
 }
 
 void ExactByteTracker::on_resize(std::uint64_t position, std::uint32_t old_size,

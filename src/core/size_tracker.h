@@ -22,11 +22,33 @@ class SizeArray {
   /// `new_length` (== the new stack length), before the rotation.
   void on_append(std::uint32_t size, std::uint64_t new_length);
 
-  /// A stack rotation along `chain` (ascending swap positions, front()==1,
-  /// back()==phi) is about to happen; `sizes_before` are the per-position
-  /// object sizes prior to the rotation (0-based: sizes_before[i] is the
-  /// size at stack position i+1) and ref_size is the referenced object's
-  /// size (it lands at position 1).
+  /// A rotation of the object at stack position phi (of ref_size bytes,
+  /// landing at position 1) begins. Its swap positions below phi follow in
+  /// descending order through on_move(), ending with position 1.
+  void begin_rotation(std::uint64_t phi, std::uint32_t ref_size) {
+    std::size_t below = 0;
+    while (below < boundaries_.size() && boundaries_[below] < phi) ++below;
+    pending_ = below;
+    ref_size_ = ref_size;
+  }
+
+  /// One step of the descending rotation: the resident of swap position x,
+  /// of `size` bytes, moves down to the previous swap position. For every
+  /// boundary p in [x, previous position), x holds the largest swap
+  /// position <= p, so its resident is the one object that crosses out of
+  /// [1, p] while the referenced object enters at the top.
+  void on_move(std::uint64_t x, std::uint32_t size) {
+    while (pending_ > 0 && boundaries_[pending_ - 1] >= x) {
+      std::uint64_t& sum = sums_[--pending_];
+      sum += ref_size_;
+      sum -= size;
+    }
+  }
+
+  /// The whole rotation along `chain` (ascending swap positions,
+  /// front()==1, back()==phi) through begin_rotation()/on_move();
+  /// `sizes_before` are the per-position object sizes prior to the
+  /// rotation (0-based: sizes_before[i] is the size at stack position i+1).
   void on_rotate(std::span<const std::uint64_t> chain,
                  std::span<const std::uint32_t> sizes_before, std::uint32_t ref_size);
 
@@ -57,6 +79,9 @@ class SizeArray {
   std::vector<std::uint64_t> sums_;        // prefix size at each boundary
   std::uint64_t covered_length_ = 0;       // stack length the sums reflect
   std::uint64_t total_ = 0;                // total bytes on the stack
+  // Rotation in progress: sums_[0, pending_) are still to be charged.
+  std::size_t pending_ = 0;
+  std::uint32_t ref_size_ = 0;
 };
 
 /// Exact byte-level prefix sizes via a Fenwick tree over stack positions —
@@ -67,6 +92,17 @@ class ExactByteTracker {
   ExactByteTracker() = default;
 
   void on_append(std::uint32_t size, std::uint64_t new_length);
+
+  /// One step of a rotation: stack position `to` now holds an object of
+  /// `moved_size` bytes in place of one of `displaced_size` bytes (the
+  /// referenced object landing at position 1 included).
+  void on_move(std::uint64_t to, std::uint32_t moved_size, std::uint32_t displaced_size) {
+    const std::int64_t delta =
+        static_cast<std::int64_t>(moved_size) - static_cast<std::int64_t>(displaced_size);
+    if (delta != 0) sizes_.add(to, delta);
+  }
+
+  /// The whole rotation along `chain` through on_move(), as SizeArray's.
   void on_rotate(std::span<const std::uint64_t> chain,
                  std::span<const std::uint32_t> sizes_before, std::uint32_t ref_size);
   void on_resize(std::uint64_t position, std::uint32_t old_size,

@@ -6,7 +6,7 @@
 
 namespace krr::swap_kernel {
 
-/// The batched inverse-CDF step behind SwapSampler::sample_backward for the
+/// The batched inverse-CDF step behind SwapSampler::walk_backward for the
 /// placing-back model (Alg. 2, P(X <= x) = (x/(i-1))^K'). The exact step
 /// is x = ceil(pow(r, 1/K') * (i-1)), clamped to [1, i-1]. Here the root
 /// u = r^(1/K') of a whole block of uniforms is computed by a branch-free

@@ -182,44 +182,8 @@ std::uint64_t SwapSampler::previous_swap(std::uint64_t i, double r) const {
 
 void SwapSampler::sample_backward(std::uint64_t phi, Xoshiro256ss& rng,
                                   std::vector<std::uint64_t>& out) const {
-  // Algorithm 2: from the bottom boundary i, the next swap position above
-  // is the largest swap among [1, i-1], drawn through the inverse CDF of
-  // P(X <= x) = no_swap(x+1, i-1) with r in (0, 1].
   out.push_back(phi);
-  std::uint64_t i = phi;
-  if (model_ == SamplingModel::kPlacingBack) {
-    // Draw and root the uniforms a block at a time (swap_kernel.h). A step
-    // the kernel cannot decide falls back to previous_swap on the same r,
-    // so the chain is the one-draw-at-a-time chain. A chain that ends
-    // inside a block rewinds the generator to just past its last draw, so
-    // the stream, and every later chain, is unchanged too.
-    double r[swap_kernel::kBlock];
-    double u[swap_kernel::kBlock];
-    while (i > 1) {
-      const Xoshiro256ss block_start = rng;
-      for (double& draw : r) draw = rng.next_double_open0();
-      swap_kernel::root_block(r, u, roots_);
-      std::size_t used = 0;
-      while (used < swap_kernel::kBlock && i > 1) {
-        std::uint64_t x = swap_kernel::certain_previous_swap(u[used], i);
-        if (x == 0) x = previous_swap(i, r[used]);
-        out.push_back(x);
-        i = x;
-        ++used;
-      }
-      if (used < swap_kernel::kBlock) {
-        rng = block_start;
-        for (std::size_t n = 0; n < used; ++n) rng();
-      }
-    }
-  } else {
-    while (i > 1) {
-      const double r = rng.next_double_open0();
-      const std::uint64_t x = previous_swap(i, r);
-      out.push_back(x);
-      i = x;
-    }
-  }
+  walk_backward(phi, rng, [&out](std::uint64_t x, std::uint64_t) { out.push_back(x); });
   std::reverse(out.begin(), out.end());
 }
 

@@ -228,9 +228,7 @@ std::size_t TraceReader::next_batch(Request* out, std::size_t n) {
     if (report_.format_version == c::kVersion2) {
       k = take_v2(out + got, want);
     } else {
-      while (k < want && state_ == State::kStreaming && next_v1(out[got + k])) {
-        ++k;
-      }
+      k = take_v1(out + got, want);
     }
     got += k;
     if (k < want) break;
@@ -238,41 +236,71 @@ std::size_t TraceReader::next_batch(Request* out, std::size_t n) {
   return got;
 }
 
-bool TraceReader::next_v1(Request& out) {
+/// Records per v1 run: one istream read per 4096 records instead of one
+/// per record (the v1 format has no blocks of its own).
+constexpr std::size_t kV1RunRecords = 4096;
+
+std::size_t TraceReader::take_v1(Request* out, std::size_t n) {
   const RecoveryPolicy policy = options_.policy;
-  for (;;) {
-    if (report_.records_read + report_.records_skipped >=
-        report_.declared_records) {
-      state_ = State::kDone;
-      return false;
-    }
-    unsigned char rec[c::kRecordBytes];
-    if (read_bytes(rec, sizeof(rec)) < sizeof(rec)) {
-      if (policy == RecoveryPolicy::kStrict) {
-        return fail(truncated_error(
-            "stream ends after record " + std::to_string(report_.records_read) +
-            " of " + std::to_string(report_.declared_records)));
+  // When the stream stops at a bad record, the run's bytes past it were
+  // never consumed: they leave bytes_read, which then does not depend on
+  // the batch size.
+  const auto drop_rest_of_run = [this] {
+    report_.bytes_read -= run_end_ - run_pos_;
+    run_pos_ = run_end_;
+  };
+  std::size_t got = 0;
+  while (got < n && state_ == State::kStreaming) {
+    if (run_pos_ == run_end_) {
+      // Read only the records this call still needs (no more than the
+      // header declares), so a clean batch consumes exactly its bytes.
+      const std::uint64_t left = report_.declared_records -
+                                 std::min(report_.declared_records,
+                                          report_.records_read + report_.records_skipped);
+      if (left == 0) {
+        state_ = State::kDone;
+        break;
       }
-      finish_truncated();
-      return false;
+      const std::size_t records = static_cast<std::size_t>(
+          std::min<std::uint64_t>({n - got, left, kV1RunRecords}));
+      if (run_.empty()) run_.resize(kV1RunRecords * c::kRecordBytes);
+      run_end_ = read_bytes(run_.data(), records * c::kRecordBytes);
+      run_pos_ = 0;
     }
-    const unsigned char op = c::decode_record(rec, &out);
+    if (run_end_ - run_pos_ < c::kRecordBytes) {
+      run_pos_ = run_end_;  // the stream's last bytes: a partial record
+      if (policy == RecoveryPolicy::kStrict) {
+        fail(truncated_error("stream ends after record " +
+                             std::to_string(report_.records_read) + " of " +
+                             std::to_string(report_.declared_records)));
+      } else {
+        finish_truncated();
+      }
+      break;
+    }
+    const unsigned char op = c::decode_record(run_.data() + run_pos_, out + got);
+    run_pos_ += c::kRecordBytes;
     if (op > 1) {
-      if (policy == RecoveryPolicy::kStrict) {
-        return fail(bad_record_error(
-            "bad op byte at record " +
-            std::to_string(report_.records_read + report_.records_skipped)));
-      }
       if (policy == RecoveryPolicy::kSkipAndCount) {
-        if (!count_skipped(1)) return false;
-        continue;  // records are fixed-width: the next one starts 13 bytes on
+        // Records are fixed-width: the next one starts 13 bytes on.
+        if (count_skipped(1)) continue;
+        drop_rest_of_run();
+        break;
       }
-      finish_truncated();  // best effort: keep everything before the damage
-      return false;
+      drop_rest_of_run();
+      if (policy == RecoveryPolicy::kStrict) {
+        fail(bad_record_error("bad op byte at record " +
+                              std::to_string(report_.records_read +
+                                             report_.records_skipped)));
+      } else {
+        finish_truncated();  // best effort: keep everything before the damage
+      }
+      break;
     }
     ++report_.records_read;
-    return true;
+    ++got;
   }
+  return got;
 }
 
 std::size_t TraceReader::take_v2(Request* out, std::size_t n) {

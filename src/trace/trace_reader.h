@@ -105,9 +105,11 @@ class TraceReader {
   /// Delivers up to n records into out[0, n) and returns how many. A short
   /// count means end of stream *or* error — distinguish via status(): OK
   /// means a clean (or policy-accepted) end. v2 copies whole runs of the
-  /// decoded block at once. While a fault plan is armed, the trace.read
-  /// fault point is asked once per record (and once for the end-of-stream
-  /// read), so trace.read@hit=N fails after record N-1 at any batch size.
+  /// decoded block at once; v1 reads the records a batch still needs in one
+  /// run and decodes them one by one, so recovery acts per record. While a
+  /// fault plan is armed, the trace.read fault point is asked once per
+  /// record (and once for the end-of-stream read), so trace.read@hit=N
+  /// fails after record N-1 at any batch size.
   std::size_t next_batch(Request* out, std::size_t n);
 
   /// Delivers the next record: next_batch(&out, 1) == 1.
@@ -125,7 +127,7 @@ class TraceReader {
   enum class State { kUnopened, kStreaming, kDone, kError };
 
   void open();
-  bool next_v1(Request& out);
+  std::size_t take_v1(Request* out, std::size_t n);
   std::size_t take_v2(Request* out, std::size_t n);
   bool load_block();
   bool resync_to_block_magic();
@@ -148,6 +150,9 @@ class TraceReader {
   std::size_t block_pos_ = 0;
   std::vector<unsigned char> payload_;    // v2: raw block payload buffer
   std::vector<unsigned char> pending_;    // bytes pushed back during resync
+  std::vector<unsigned char> run_;        // v1: raw bytes of a run of records
+  std::size_t run_pos_ = 0;               // v1: next undecoded byte of run_
+  std::size_t run_end_ = 0;               // v1: bytes of run_ filled
 };
 
 /// Reads a whole binary trace (v1 or v2) under the given policy. On

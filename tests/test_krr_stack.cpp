@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "baselines/lru_stack.h"
@@ -308,6 +311,219 @@ TEST(KrrStack, ExactByteDistanceMatchesBruteForceStackWalk) {
     ASSERT_TRUE(stack.last_exact_byte_distance().has_value());
     EXPECT_EQ(*stack.last_exact_byte_distance(), expected) << "position " << pos;
   }
+}
+
+}  // namespace
+}  // namespace krr
+
+namespace krr {
+namespace {
+
+// The stack update as a sampled chain plus a second rotation pass: draw the
+// whole ascending chain with SwapSampler::sample, then walk it back down,
+// moving the resident of chain[j] to chain[j+1], and put the reference on
+// top. A backward chain is also redrawn one uniform per step, on a second
+// generator kept in step, so the reference does not share the sampler's
+// block draws and rewinds. The byte distances are recomputed from the
+// sizes: a SizeArray replayed from the current stack holds exact prefix
+// sums at its boundaries, which is the invariant the incremental one
+// keeps, and the exact distance is a prefix sum. KrrStack must match this
+// on every access, whatever order and pass structure its own update uses.
+class ChainThenRotateStack {
+ public:
+  explicit ChainThenRotateStack(const KrrStackConfig& cfg)
+      : cfg_(cfg),
+        sampler_(cfg.strategy, cfg.k, cfg.sampling_model),
+        rng_(cfg.seed),
+        one_draw_rng_(cfg.seed) {}
+
+  KrrStack::AccessResult access(std::uint64_t key, std::uint32_t size) {
+    KrrStack::AccessResult result{};
+    const auto found = std::find(keys_.begin(), keys_.end(), key);
+    result.cold = found == keys_.end();
+    if (result.cold) {
+      keys_.push_back(key);
+      sizes_.push_back(size);
+    }
+    const auto phi =
+        static_cast<std::uint64_t>(std::find(keys_.begin(), keys_.end(), key) - keys_.begin()) +
+        1;
+    sizes_[phi - 1] = size;
+    result.position = phi;
+    if (cfg_.track_bytes) {
+      SizeArray replayed(cfg_.size_array_base);
+      for (std::size_t i = 0; i < sizes_.size(); ++i) replayed.on_append(sizes_[i], i + 1);
+      result.byte_distance = replayed.byte_distance(phi);
+      exact_ = 0;
+      for (std::uint64_t i = 0; i < phi; ++i) exact_ += sizes_[i];
+    }
+    sampler_.sample(phi, rng_, chain_);
+    if (cfg_.strategy == UpdateStrategy::kBackward) {
+      // The reference's own Alg. 2, one draw per step, so the chain and
+      // the PRNG stream do not rest on the sampler's batching.
+      std::vector<std::uint64_t> one_draw = {phi};
+      for (std::uint64_t i = phi; i > 1;) {
+        i = one_draw_step(i, one_draw_rng_.next_double_open0());
+        one_draw.push_back(i);
+      }
+      std::reverse(one_draw.begin(), one_draw.end());
+      if (one_draw != chain_ || words(one_draw_rng_) != words(rng_)) one_draw_mismatch_ = true;
+    }
+    swaps_ += chain_.size();
+    if (phi == 1) return result;
+    for (std::size_t j = chain_.size(); j-- > 1;) {
+      keys_[chain_[j] - 1] = keys_[chain_[j - 1] - 1];
+      sizes_[chain_[j] - 1] = sizes_[chain_[j - 1] - 1];
+    }
+    keys_[0] = key;
+    sizes_[0] = size;
+    return result;
+  }
+
+  /// The KrrStack::save_state payload this state must produce.
+  std::string payload() const {
+    std::string out;
+    ckpt::append_u64(out, keys_.size());
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      ckpt::append_u64(out, keys_[i]);
+      ckpt::append_u32(out, sizes_[i]);
+    }
+    ckpt::append_u64(out, swaps_);
+    std::uint64_t words[4];
+    rng_.save_state(words);
+    for (const std::uint64_t word : words) ckpt::append_u64(out, word);
+    return out;
+  }
+
+  const std::vector<std::uint64_t>& keys() const { return keys_; }
+  std::uint64_t swaps() const { return swaps_; }
+  std::uint64_t exact_byte_distance() const { return exact_; }
+  /// True once a backward chain or the stream after it differed from the
+  /// one-draw-at-a-time walk.
+  bool one_draw_mismatch() const { return one_draw_mismatch_; }
+
+ private:
+  static std::array<std::uint64_t, 4> words(const Xoshiro256ss& rng) {
+    std::array<std::uint64_t, 4> out{};
+    rng.save_state(out.data());
+    return out;
+  }
+
+  /// Alg. 2's step from boundary i with uniform r: the largest swap
+  /// position below i, by the inverse CDF P(X <= x) = no_swap(x+1, i-1).
+  std::uint64_t one_draw_step(std::uint64_t i, double r) const {
+    if (cfg_.sampling_model == SamplingModel::kPlacingBack) {
+      const double scaled = std::pow(r, 1.0 / cfg_.k) * static_cast<double>(i - 1);
+      return std::clamp<std::uint64_t>(static_cast<std::uint64_t>(std::ceil(scaled)), 1,
+                                       i - 1);
+    }
+    std::uint64_t lo = 1, hi = i - 1;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (sampler_.no_swap_probability(mid + 1, i - 1) >= r) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  }
+
+  KrrStackConfig cfg_;
+  SwapSampler sampler_;
+  Xoshiro256ss rng_;
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> sizes_;
+  std::vector<std::uint64_t> chain_;
+  std::uint64_t swaps_ = 0;
+  std::uint64_t exact_ = 0;
+  Xoshiro256ss one_draw_rng_;
+  bool one_draw_mismatch_ = false;
+};
+
+enum class Tracking { kUniform, kBytes, kBytesExact };
+
+// A churny trace: a skewed working set of ~300 keys that keeps admitting
+// new keys, and (when sizes are tracked) a set with a new size on ~1 in 8
+// references, so resizes hit residents at every depth.
+void drive_against_reference(UpdateStrategy strategy, SamplingModel model, double k,
+                             Tracking tracking) {
+  KrrStackConfig cfg;
+  cfg.k = k;
+  cfg.strategy = strategy;
+  cfg.sampling_model = model;
+  cfg.seed = 1234;
+  cfg.track_bytes = tracking != Tracking::kUniform;
+  cfg.track_bytes_exact = tracking == Tracking::kBytesExact;
+  auto stack = std::make_unique<KrrStack>(cfg);
+  ChainThenRotateStack reference(cfg);
+  Xoshiro256ss trace_rng(99);
+  std::uint64_t next_new_key = 300;
+  std::vector<std::uint32_t> key_size(4096, 1);
+  constexpr int kAccesses = 2400;
+  for (int i = 0; i < kAccesses; ++i) {
+    SCOPED_TRACE(i);
+    std::uint64_t key;
+    if (trace_rng.next_double() < 0.05) {
+      key = next_new_key++ % key_size.size();
+    } else {
+      const double u = trace_rng.next_double();
+      key = static_cast<std::uint64_t>(u * u * 300.0);
+    }
+    if (cfg.track_bytes && trace_rng.next_double() < 0.125) {
+      key_size[key] = 1 + static_cast<std::uint32_t>(trace_rng.next_below(4000));
+    }
+    const std::uint32_t size = cfg.track_bytes ? key_size[key] : 1;
+    const KrrStack::AccessResult want = reference.access(key, size);
+    ASSERT_FALSE(reference.one_draw_mismatch());
+    const KrrStack::AccessResult got = stack->access(key, size);
+    ASSERT_EQ(got.cold, want.cold);
+    ASSERT_EQ(got.position, want.position);
+    ASSERT_EQ(got.byte_distance, want.byte_distance);
+    if (cfg.track_bytes_exact) {
+      ASSERT_EQ(stack->last_exact_byte_distance(), reference.exact_byte_distance());
+    }
+    ASSERT_EQ(stack->stack(), reference.keys());
+    ASSERT_EQ(stack->swaps_performed(), reference.swaps());
+    std::string payload;  // sizes, swap count and the PRNG words
+    stack->save_state(payload);
+    ASSERT_EQ(payload, reference.payload());
+    if (i == kAccesses / 2) {
+      // Resume mid-run from a checkpoint: the rest of the run must not see
+      // the difference.
+      auto resumed = std::make_unique<KrrStack>(cfg);
+      ckpt::ByteReader reader(payload);
+      ASSERT_TRUE(resumed->load_state(reader));
+      stack = std::move(resumed);
+    }
+  }
+}
+
+void drive_every_configuration(UpdateStrategy strategy) {
+  for (const SamplingModel model :
+       {SamplingModel::kPlacingBack, SamplingModel::kNoPlacingBack}) {
+    for (const double k : {1.0, corrected_k(5.0), corrected_k(16.0)}) {
+      for (const Tracking tracking :
+           {Tracking::kUniform, Tracking::kBytes, Tracking::kBytesExact}) {
+        SCOPED_TRACE(to_string(model) + " K'=" + std::to_string(k) + " tracking " +
+                     std::to_string(static_cast<int>(tracking)));
+        drive_against_reference(strategy, model, k, tracking);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(KrrStackFusedRotation, BackwardMatchesChainThenRotate) {
+  drive_every_configuration(UpdateStrategy::kBackward);
+}
+
+TEST(KrrStackFusedRotation, TopDownMatchesChainThenRotate) {
+  drive_every_configuration(UpdateStrategy::kTopDown);
+}
+
+TEST(KrrStackFusedRotation, LinearMatchesChainThenRotate) {
+  drive_every_configuration(UpdateStrategy::kLinear);
 }
 
 }  // namespace

@@ -594,6 +594,32 @@ TEST_F(FaultedIo, TraceReadHitPinsTheFailingRecord) {
   std::remove(path.c_str());
 }
 
+TEST_F(FaultedIo, TraceReadHitPinsTheFailingV1Record) {
+  // v1 records are read in runs, but the fault point is still asked once
+  // per record: hit=N fails after record N-1 at the stream's batch size.
+  ZipfianGenerator gen(5000, 0.9, 7, true);
+  const auto trace = materialize(gen, 20000);
+  std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+  write_trace_binary(bytes, trace);
+  for (const std::uint64_t hit : {1u, 4097u, 5000u, 20001u}) {
+    SCOPED_TRACE(hit);
+    faults::disarm();
+    ASSERT_TRUE(faults::arm("trace.read@hit=" + std::to_string(hit)).is_ok());
+    std::stringstream is(bytes.str());
+    TraceReader reader(is);
+    std::vector<Request> batch(kStreamBlockRecords);
+    const std::size_t got = reader.next_batch(batch.data(), batch.size());
+    EXPECT_EQ(got, hit - 1);
+    EXPECT_TRUE(std::equal(batch.begin(),
+                           batch.begin() + static_cast<std::ptrdiff_t>(got),
+                           trace.begin()));
+    EXPECT_EQ(reader.status(),
+              io_error("injected transient trace read fault after record " +
+                       std::to_string(hit - 1)));
+    EXPECT_EQ(faults::hits("trace.read"), hit);
+  }
+}
+
 TEST_F(FaultedIo, CorruptInputIsNeverRetried) {
   // Retrying can only help transient I/O; a checksum mismatch is a
   // property of the bytes and must fail on the first attempt even with a

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <span>
 #include <sstream>
 #include <string>
@@ -371,6 +372,43 @@ TEST(TraceReaderBatch, EveryBatchSizeMatchesRecordAtATime) {
       const TraceReaderOptions options{.policy = policy, .max_bad_records = 100};
       const ReadOutcome expected = read_all(bytes, options, 0);
       for (const std::size_t batch : {1u, 7u, 4096u, 65536u}) {
+        SCOPED_TRACE(batch);
+        const ReadOutcome got = read_all(bytes, options, batch);
+        EXPECT_EQ(got.records, expected.records);
+        EXPECT_EQ(got.status, expected.status);
+        EXPECT_EQ(report_fields(got.report), report_fields(expected.report));
+      }
+    }
+  }
+}
+
+TEST(TraceReaderBatch, V1RunsKeepPerRecordRecovery) {
+  // v1 is read in runs of up to 4096 records. Bad op bytes inside a run,
+  // at a run boundary and right after one, and a cut mid-record in the
+  // second run, must give every policy the record-at-a-time outcome at
+  // every batch size, bytes_read included.
+  const auto trace = make_trace(10000);
+  const std::string clean = to_v1_bytes(trace);
+  const auto op_byte = [](std::size_t record) { return 20 + record * 13 + 12; };
+  std::string bad_ops = clean;
+  for (const std::size_t record : {100u, 101u, 4095u, 4096u, 9999u}) {
+    bad_ops[op_byte(record)] = 9;
+  }
+  std::string over_budget = clean;  // more bad records than the skip budget
+  for (std::size_t record = 5000; record < 5200; ++record) over_budget[op_byte(record)] = 9;
+  const std::map<std::string, std::string> inputs = {
+      {"bad op bytes", bad_ops},
+      {"over the skip budget", over_budget},
+      {"cut mid-record in the second run", clean.substr(0, 20 + 6000 * 13 + 5)},
+      {"clean", clean}};
+  for (const auto& [name, bytes] : inputs) {
+    for (const RecoveryPolicy policy :
+         {RecoveryPolicy::kStrict, RecoveryPolicy::kSkipAndCount,
+          RecoveryPolicy::kBestEffort}) {
+      SCOPED_TRACE(name + " / " + recovery_policy_name(policy));
+      const TraceReaderOptions options{.policy = policy, .max_bad_records = 100};
+      const ReadOutcome expected = read_all(bytes, options, 0);
+      for (const std::size_t batch : {1u, 7u, 4096u, 4097u, 65536u}) {
         SCOPED_TRACE(batch);
         const ReadOutcome got = read_all(bytes, options, batch);
         EXPECT_EQ(got.records, expected.records);

@@ -98,6 +98,8 @@ class KrrEstimator final : public MrcEstimator {
       : profiler_(krr_config_from(o)) {}
 
   void access(const Request& req) override { profiler_.access(req); }
+  /// Publishes the attached metrics, folding in the counts the stack holds.
+  void finish() override { profiler_.refresh_metrics_gauges(); }
   std::uint64_t sample_threshold() const override {
     return profiler_.sample_threshold();
   }

@@ -1,5 +1,6 @@
 #include "core/krr_stack.h"
 
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -121,7 +122,7 @@ void KrrStack::save_state(std::string& out) const {
   }
   ckpt::append_u64(out, swaps_performed_);
   std::uint64_t rng_state[4];
-  rng_.save_state(rng_state);
+  draws_.logical(rng_).save_state(rng_state);
   for (const std::uint64_t word : rng_state) ckpt::append_u64(out, word);
 }
 
@@ -155,11 +156,21 @@ bool KrrStack::load_state(ckpt::ByteReader& reader) {
   if (!rebuild_auxiliary()) return fail();
   swaps_performed_ = swaps;
   rng_.load_state(rng_state);
+  draws_.reset();
   return true;
 }
 
 void KrrStack::attach_metrics(obs::StackMetrics* metrics) noexcept {
+  flush_metrics();
   metrics_ = metrics;
+}
+
+void KrrStack::flush_metrics() const noexcept {
+  static_assert(std::tuple_size_v<decltype(pending_.chain_len)> == obs::LogHistogram::kBuckets);
+  if (metrics_ == nullptr) return;
+  if (pending_.cold_misses != 0) metrics_->cold_misses->inc(pending_.cold_misses);
+  metrics_->chain_len->record_counts(pending_.chain_len, pending_.chain_sum);
+  pending_ = PendingMetrics{};
 }
 
 KrrStack::AccessResult KrrStack::access(std::uint64_t key, std::uint32_t size) {
@@ -172,17 +183,25 @@ KrrStack::AccessResult KrrStack::access_instrumented(std::uint64_t key,
   // Timing every access would cost two clock reads (~40 ns) against a
   // ~100 ns update — far over the obs overhead budget. Sampling every
   // kTimingStride-th access keeps update_ns statistically representative
-  // at ~1/64 of that cost; the integer counters are exact.
+  // at ~1/64 of that cost. The cold-miss and chain-length counts go to
+  // plain fields and reach the shared metrics on the same stride (and at
+  // every flush_metrics), so they are exact once published. stack.swaps
+  // stays live, one relaxed add per access: it is read against
+  // swaps_performed() at any point of a run.
   const bool timed = (metrics_seq_++ % kTimingStride) == 0;
   std::optional<Stopwatch> timer;
   if (timed) timer.emplace();
   const std::uint64_t swaps_before = swaps_performed_;
   const AccessResult result = access_impl(key, size);
   const std::uint64_t chain = swaps_performed_ - swaps_before;
-  if (result.cold) metrics_->cold_misses->inc();
+  pending_.cold_misses += result.cold ? 1 : 0;
+  pending_.chain_sum += chain;
+  ++pending_.chain_len[static_cast<std::size_t>(std::bit_width(chain))];
   metrics_->swaps->inc(chain);
-  metrics_->chain_len->record(chain);
-  if (timed) metrics_->update_ns->record(timer->nanos());
+  if (timed) {
+    metrics_->update_ns->record(timer->nanos());
+    flush_metrics();
+  }
   return result;
 }
 
@@ -266,7 +285,7 @@ void KrrStack::rotate(std::uint64_t phi, std::uint64_t key, std::uint32_t size,
   };
   if constexpr (kTrackBytes) size_array->begin_rotation(phi, size);
   if (config_.strategy == UpdateStrategy::kBackward) {
-    swaps_performed_ += 1 + sampler_.walk_backward(phi, rng_, move);  // phi too
+    swaps_performed_ += 1 + sampler_.walk_backward(phi, rng_, draws_, move);  // phi too
   } else {
     sampler_.sample(phi, rng_, chain_);
     for (std::size_t j = chain_.size() - 1; j-- > 0;) move(chain_[j], chain_[j + 1]);

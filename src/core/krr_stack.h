@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -146,12 +147,22 @@ class KrrStack {
   /// length distribution, and a sampled update-latency histogram (every
   /// kTimingStride-th access is timed so the clock reads amortize to
   /// ~nothing). The pointed-to metrics must outlive the stack; pass
-  /// nullptr to detach.
+  /// nullptr to detach. Counts still held by the stack are folded into
+  /// the metrics attached before.
   void attach_metrics(obs::StackMetrics* metrics) noexcept;
 
   /// Every kTimingStride-th instrumented access reads the clock twice to
-  /// feed stack.update_ns; the rest record only integer counters.
+  /// feed stack.update_ns and folds the counts the stack holds into the
+  /// attached metrics; the rest touch only the stack's own fields and the
+  /// live stack.swaps counter.
   static constexpr std::uint64_t kTimingStride = 64;
+
+  /// Folds the cold misses and chain lengths counted since the last fold
+  /// into the attached metrics (stack.cold_misses, stack.chain_len), so
+  /// they are exact. Called by whoever publishes the metrics (the
+  /// profiler's gauge refresh, an estimator's finish). Changes no model
+  /// state.
+  void flush_metrics() const noexcept;
 
   const KrrStackConfig& config() const noexcept { return config_; }
 
@@ -199,6 +210,7 @@ class KrrStack {
   std::vector<std::uint32_t> slots_;   // aligned with stack_: slot ids
   std::vector<std::uint32_t> slot_pos_;  // slot id -> index in stack_
   KeySlotIndex index_;                 // key -> slot id
+  SwapDraws draws_;                    // rooted uniforms carried across walks
   std::vector<std::uint64_t> chain_;   // swap-chain buffer (linear, top-down)
   std::unique_ptr<SizeArray> size_array_;
   std::unique_ptr<ExactByteTracker> exact_bytes_;
@@ -206,6 +218,15 @@ class KrrStack {
   std::uint64_t swaps_performed_ = 0;
   obs::StackMetrics* metrics_ = nullptr;
   std::uint64_t metrics_seq_ = 0;
+  /// Counts for the attached metrics not yet folded into them: plain
+  /// fields the hot path owns, in place of shared atomics per access.
+  /// Mutable because flush_metrics() moves them out on const paths.
+  struct PendingMetrics {
+    std::uint64_t cold_misses = 0;
+    std::uint64_t chain_sum = 0;
+    std::array<std::uint64_t, 65> chain_len{};  // LogHistogram buckets
+  };
+  mutable PendingMetrics pending_;
 };
 
 }  // namespace krr

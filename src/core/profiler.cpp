@@ -38,6 +38,7 @@ void KrrProfiler::attach_metrics(obs::PipelineMetrics* metrics) noexcept {
 
 void KrrProfiler::refresh_metrics_gauges() const noexcept {
   if (metrics_ == nullptr) return;
+  stack_.flush_metrics();
   metrics_->stack_depth->set(static_cast<double>(stack_.depth()));
   metrics_->resident_bytes->set(static_cast<double>(space_overhead_bytes()));
   metrics_->sampling_rate->set(filter_.rate());

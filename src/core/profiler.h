@@ -204,8 +204,9 @@ class KrrProfiler {
   void attach_metrics(obs::PipelineMetrics* metrics) noexcept;
 
   /// Pushes the instantaneous state into the attached metrics' gauges
-  /// (stack.depth, stack.resident_bytes, filter.rate, histogram.bins).
-  /// Called by heartbeat/export code, not the access path. No-op when
+  /// (stack.depth, stack.resident_bytes, filter.rate, histogram.bins) and
+  /// folds in the stack's held counts (KrrStack::flush_metrics). Called by
+  /// heartbeat/export code and at finish, not the access path. No-op when
   /// detached.
   void refresh_metrics_gauges() const noexcept;
 

@@ -10,19 +10,33 @@ namespace krr::swap_kernel {
 /// placing-back model (Alg. 2, P(X <= x) = (x/(i-1))^K'). The exact step
 /// is x = ceil(pow(r, 1/K') * (i-1)), clamped to [1, i-1]. Here the root
 /// u = r^(1/K') of a whole block of uniforms is computed by a branch-free
-/// log/exp kernel the compiler vectorizes, and each ceiling is decided from
-/// the kernel's u only when no integer lies within the kernel's error of
-/// u * (i-1); otherwise the caller recomputes that one step with std::pow.
-/// The chain is therefore the exact path's chain, bit for bit.
+/// log/exp kernel the compiler vectorizes and turned into the fixed-point
+/// fraction q = u * 2^64. The step is then one 64x64->128 multiply,
+/// q * (i-1) = (x-1) * 2^64 + frac, and the ceiling x is taken from it only
+/// when frac keeps clear of 0 and 2^64 by more than the kernel's error;
+/// otherwise the caller recomputes that one step with std::pow. The chain
+/// is therefore the exact path's chain, bit for bit, and the walk's
+/// loop-carried dependency is the one multiply: x - 1 is the high word.
 
 /// Uniforms drawn and rooted per batch.
 inline constexpr std::size_t kBlock = 16;
 
-/// Half-width of the band around an integer inside which a kernel-decided
-/// ceiling is refused, relative to u * (i-1). The kernel is within 2^-48
-/// of std::pow (tests/test_swap_sampler.cpp checks it), and the two
-/// products by (i-1) add 2^-52, so 2^-44 leaves a 16x margin.
-inline constexpr double kSlack = 0x1p-44;
+/// The band around a multiple of 2^64 inside which a fixed-point step is
+/// refused is ((whole + 1) << kSlackShift) + 2 * (i-1) units of 2^-64, with
+/// whole = floor(u * (i-1)). The exact path's product, previous_swap's
+/// pow(r, 1/K') * (i-1), and q * (i-1) / 2^64 differ by less than:
+///  - 2^-48 of the product for the kernel's root against std::pow
+///    (tests/test_swap_sampler.cpp checks it), plus 2^-53 for the exact
+///    path's one rounding (the fixed-point product is exact), which the
+///    first term, at least 2^-44 of u * (i-1), covers 15 times over;
+///  - 2 * (i-1) units for q's truncation (to_fixed), the second term.
+/// Outside the band no integer lies between the two products, so their
+/// ceilings agree.
+inline constexpr int kSlackShift = 20;
+
+/// The fixed-point step handles i - 1 < 2^43: the band's relative term
+/// then stays below 2^63, and std::pow's double(i-1) is exact.
+inline constexpr std::uint64_t kMaxBelow = std::uint64_t{1} << 43;
 
 /// Per-exponent constants of root_block().
 struct RootConstants {
@@ -101,20 +115,47 @@ inline void root_block(const double* r, double* u, const RootConstants& c) {
   }
 }
 
+/// q = u * 2^64 for u in [0, 1), truncated to an even integer: u * 2^63 is
+/// exact and below 2^63, so the conversion only drops u's bits under 2^-63
+/// (below 2 units of 2^-64 in all). u >= 1, as r = 1 gives, maps to 0,
+/// which no step accepts.
+inline std::uint64_t to_fixed(double u) {
+  return u < 1.0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(u * 0x1p63)) << 1 : 0;
+}
+
+/// q[j] = to_fixed(r[j]^(1/K')) for the kBlock uniforms r[j] in [2^-53, 1].
+inline void fixed_root_block(const double* r, std::uint64_t* q, const RootConstants& c) {
+  double u[kBlock];
+  root_block(r, u, c);
+  for (std::size_t j = 0; j < kBlock; ++j) q[j] = to_fixed(u[j]);
+}
+
+/// One fixed-point step from boundary i, given below = i - 1 >= 1:
+/// `whole` is floor(q * below / 2^64), so x = whole + 1 <= i - 1 needs no
+/// clamp, and `certain` says whether x is ceil(pow(r, 1/K') * (i-1)) as
+/// SwapSampler::previous_swap computes it. It is not when q * below lies
+/// within the band of a multiple of 2^64 (an exact multiple included), or
+/// when below >= kMaxBelow.
+struct Step {
+  std::uint64_t whole;
+  bool certain;
+};
+
+inline Step fixed_step(std::uint64_t q, std::uint64_t below) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(q) * below;
+  const auto whole = static_cast<std::uint64_t>(product >> 64);
+  const auto frac = static_cast<std::uint64_t>(product);
+  const std::uint64_t slack = ((whole + 1) << kSlackShift) + 2 * below;
+  return {whole, below < kMaxBelow && frac > slack && frac < 0 - slack};
+}
+
 /// Alg. 2's step from the kernel's root u of r: ceil(u * (i-1)) clamped to
 /// [1, i-1], exactly as SwapSampler::previous_swap computes it from
-/// std::pow, or 0 when u * (i-1) lies within kSlack of an integer (an exact
-/// integer, such as r = 1 gives, included) and only std::pow can decide.
+/// std::pow, or 0 when only std::pow can decide it (fixed_step's band).
 /// Requires i >= 2.
 inline std::uint64_t certain_previous_swap(double u, std::uint64_t i) {
-  const double scaled = u * static_cast<double>(i - 1);
-  if (!(scaled < 0x1p52)) return 0;  // every double from 2^52 up is an integer
-  const auto whole = static_cast<std::uint64_t>(static_cast<std::int64_t>(scaled));
-  const double frac = scaled - static_cast<double>(whole);  // exact
-  const double slack = scaled * kSlack;
-  if (!(frac > slack && 1.0 - frac > slack)) return 0;
-  const std::uint64_t x = whole + 1;
-  return x < i ? x : i - 1;
+  const Step step = fixed_step(to_fixed(u), i - 1);
+  return step.certain ? step.whole + 1 : 0;
 }
 
 }  // namespace krr::swap_kernel

@@ -182,9 +182,21 @@ std::uint64_t SwapSampler::previous_swap(std::uint64_t i, double r) const {
 
 void SwapSampler::sample_backward(std::uint64_t phi, Xoshiro256ss& rng,
                                   std::vector<std::uint64_t>& out) const {
+  // A walk on draws of its own, handed back unused: the generator ends just
+  // past the chain's last draw, as the one-draw-at-a-time walk leaves it.
+  SwapDraws draws;
   out.push_back(phi);
-  walk_backward(phi, rng, [&out](std::uint64_t x, std::uint64_t) { out.push_back(x); });
+  walk_backward(phi, rng, draws,
+                [&out](std::uint64_t x, std::uint64_t) { out.push_back(x); });
+  rng = draws.logical(rng);
   std::reverse(out.begin(), out.end());
+}
+
+Xoshiro256ss SwapDraws::logical(const Xoshiro256ss& rng) const noexcept {
+  if (next_ == swap_kernel::kBlock) return rng;
+  Xoshiro256ss replay = block_start_;
+  for (std::size_t n = 0; n < next_; ++n) replay();
+  return replay;
 }
 
 }  // namespace krr

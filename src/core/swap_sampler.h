@@ -46,6 +46,30 @@ enum class SamplingModel : std::uint8_t {
 
 std::string to_string(SamplingModel model);
 
+/// Rooted uniforms the placing-back walk draws ahead (swap_kernel.h),
+/// carried from one walk to the next, so no drawn uniform goes unused and
+/// the generator never rewinds. While a block is held, the generator the
+/// walks draw from stands kBlock draws past the block's start; logical()
+/// gives the generator a one-draw-at-a-time walk would have left, which is
+/// what a checkpoint stores. Whoever sets that generator calls reset().
+class SwapDraws {
+ public:
+  /// `rng` (the generator the walks drew from) as if only the draws
+  /// consumed so far had been taken.
+  Xoshiro256ss logical(const Xoshiro256ss& rng) const noexcept;
+
+  /// Drops the unconsumed draws.
+  void reset() noexcept { next_ = swap_kernel::kBlock; }
+
+ private:
+  friend class SwapSampler;
+
+  double r_[swap_kernel::kBlock] = {};
+  std::uint64_t q_[swap_kernel::kBlock] = {};  ///< swap_kernel::to_fixed(root of r_)
+  std::size_t next_ = swap_kernel::kBlock;  ///< first unconsumed draw
+  Xoshiro256ss block_start_{0};            ///< the generator before r_[0]
+};
+
 /// Samples the swap chain for one stack update.
 class SwapSampler {
  public:
@@ -66,11 +90,14 @@ class SwapSampler {
   /// position x below phi, from the largest down to x == 1, each as soon as
   /// it is drawn, with i the swap position visited before it (phi first).
   /// Returns the number of positions visited. Requires phi >= 2. The
-  /// positions and the PRNG stream are exactly those of sample() with the
+  /// placing-back model takes its uniforms from `draws`, refilled from
+  /// `rng` a block at a time and carried to the next walk; the positions
+  /// and draws.logical(rng) are exactly those of sample() with the
   /// kBackward strategy (which is this walk collected and reversed), so a
   /// caller can rotate inside the walk: the resident of x moves to i.
   template <typename Visit>
-  std::uint64_t walk_backward(std::uint64_t phi, Xoshiro256ss& rng, Visit visit) const;
+  std::uint64_t walk_backward(std::uint64_t phi, Xoshiro256ss& rng, SwapDraws& draws,
+                              Visit visit) const;
 
   UpdateStrategy strategy() const noexcept { return strategy_; }
   SamplingModel model() const noexcept { return model_; }
@@ -109,39 +136,40 @@ class SwapSampler {
 
 template <typename Visit>
 std::uint64_t SwapSampler::walk_backward(std::uint64_t phi, Xoshiro256ss& rng,
-                                         Visit visit) const {
+                                         SwapDraws& draws, Visit visit) const {
   // From the bottom boundary i, the next swap position above is the largest
   // swap among [1, i-1], drawn through the inverse CDF of
   // P(X <= x) = no_swap(x+1, i-1) with r in (0, 1].
-  std::uint64_t i = phi;
   std::uint64_t visited = 0;
   if (model_ == SamplingModel::kPlacingBack) {
-    // Draw and root the uniforms a block at a time (swap_kernel.h). A step
-    // the kernel cannot decide falls back to previous_swap on the same r,
-    // so the chain is the one-draw-at-a-time chain. A chain that ends
-    // inside a block rewinds the generator to just past its last draw, so
-    // the stream, and every later chain, is unchanged too.
-    double r[swap_kernel::kBlock];
-    double u[swap_kernel::kBlock];
-    while (i > 1) {
-      const Xoshiro256ss block_start = rng;
-      for (double& draw : r) draw = rng.next_double_open0();
-      swap_kernel::root_block(r, u, roots_);
-      std::size_t used = 0;
-      while (used < swap_kernel::kBlock && i > 1) {
-        std::uint64_t x = swap_kernel::certain_previous_swap(u[used], i);
-        if (x == 0) x = previous_swap(i, r[used]);
-        visit(x, i);
-        i = x;
-        ++used;
+    // The walk carries below = i - 1, so a fixed-point step is one multiply
+    // (swap_kernel.h). A step the kernel cannot decide falls back to
+    // previous_swap on the same r, so the chain is the one-draw-at-a-time
+    // chain; draws left over at the end of the chain wait for the next one.
+    // Each step consumes one draw, so the count comes from the draw index
+    // and the refills: a per-step counter did not stay in a register.
+    std::uint64_t below = phi - 1;
+    std::size_t n = draws.next_;
+    visited = 0 - std::uint64_t{n};
+    while (below > 0) {
+      if (n == swap_kernel::kBlock) {
+        draws.block_start_ = rng;
+        for (double& r : draws.r_) r = rng.next_double_open0();
+        swap_kernel::fixed_root_block(draws.r_, draws.q_, roots_);
+        visited += n;
+        n = 0;
       }
-      visited += used;
-      if (used < swap_kernel::kBlock) {
-        rng = block_start;
-        for (std::size_t n = 0; n < used; ++n) rng();
-      }
+      const swap_kernel::Step step = swap_kernel::fixed_step(draws.q_[n], below);
+      const std::uint64_t x =
+          step.certain ? step.whole + 1 : previous_swap(below + 1, draws.r_[n]);
+      ++n;
+      visit(x, below + 1);
+      below = x - 1;
     }
+    draws.next_ = n;
+    visited += n;
   } else {
+    std::uint64_t i = phi;
     while (i > 1) {
       const std::uint64_t x = previous_swap(i, rng.next_double_open0());
       visit(x, i);

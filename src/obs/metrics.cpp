@@ -26,6 +26,19 @@ double LogHistogram::quantile(double q) const noexcept {
   return static_cast<double>(bucket_hi(kBuckets - 1));
 }
 
+void LogHistogram::record_counts(const std::array<std::uint64_t, kBuckets>& bucket_counts,
+                                 std::uint64_t sum) noexcept {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    if (bucket_counts[i] == 0) continue;
+    buckets_[i].fetch_add(bucket_counts[i], std::memory_order_relaxed);
+    n += bucket_counts[i];
+  }
+  if (n == 0) return;
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+}
+
 void LogHistogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);

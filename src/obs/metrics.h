@@ -75,6 +75,11 @@ class LogHistogram {
     sum_.fetch_add(v, std::memory_order_relaxed);
   }
 
+  /// Adds values counted elsewhere in one go: bucket_counts[i] values in
+  /// bucket i, together summing to `sum`. Empty buckets cost nothing.
+  void record_counts(const std::array<std::uint64_t, kBuckets>& bucket_counts,
+                     std::uint64_t sum) noexcept;
+
   std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
   }

@@ -15,6 +15,7 @@
 #include "trace/generator.h"
 #include "trace/msr.h"
 #include "trace/zipf.h"
+#include "util/histogram.h"
 
 namespace krr {
 namespace {
@@ -524,6 +525,111 @@ TEST(KrrStackFusedRotation, TopDownMatchesChainThenRotate) {
 
 TEST(KrrStackFusedRotation, LinearMatchesChainThenRotate) {
   drive_every_configuration(UpdateStrategy::kLinear);
+}
+
+// The placing-back walk draws its uniforms a block at a time and carries
+// the unconsumed ones to the next access. A checkpoint stores the generator
+// as if every draw had been taken one at a time, and a restored stack
+// starts a fresh block from there: taken with the block half used or used
+// up, the restored run must be the uninterrupted one, access by access, in
+// its distances, its save_state payload and its curve.
+TEST(KrrStackCarriedDraws, CheckpointMidBlockAndAtABlockEdgeResumeBitIdentically) {
+  ZipfianGenerator gen(2000, 0.9, 5, /*scrambled=*/true);
+  const std::vector<Request> trace = materialize(gen, 3000);
+  const auto size_of_key = [](std::uint64_t key) {
+    return 1 + static_cast<std::uint32_t>(key % 1000);
+  };
+  for (const double k : {1.0, corrected_k(5.0)}) {
+    for (const bool track_bytes : {false, true}) {
+      SCOPED_TRACE("K'=" + std::to_string(k) + (track_bytes ? " bytes" : " uniform"));
+      KrrStackConfig cfg = config(k);
+      cfg.seed = 77;
+      cfg.track_bytes = track_bytes;
+
+      // Uninterrupted: after every access the payload's generator is the
+      // seed's advanced by the draws consumed so far, one per swap position
+      // below phi (a reference at phi == 1 draws none).
+      KrrStack whole(cfg);
+      Xoshiro256ss one_draw(cfg.seed);
+      std::uint64_t consumed = 0;
+      std::vector<std::uint64_t> consumed_after;
+      for (const Request& r : trace) {
+        const std::uint64_t swaps_before = whole.swaps_performed();
+        const KrrStack::AccessResult result = whole.access(r.key, size_of_key(r.key));
+        if (result.position >= 2) {
+          for (std::uint64_t n = whole.swaps_performed() - swaps_before - 1; n > 0; --n) {
+            one_draw();
+            ++consumed;
+          }
+        }
+        consumed_after.push_back(consumed);
+        std::string payload;
+        whole.save_state(payload);
+        std::string words;
+        std::uint64_t state[4];
+        one_draw.save_state(state);
+        for (const std::uint64_t word : state) ckpt::append_u64(words, word);
+        ASSERT_EQ(payload.substr(payload.size() - words.size()), words)
+            << "access " << consumed_after.size();
+      }
+
+      std::size_t mid_block = 0;
+      std::size_t block_edge = 0;
+      for (std::size_t i = 500; i < trace.size() && (mid_block == 0 || block_edge == 0); ++i) {
+        const bool at_edge = consumed_after[i] % swap_kernel::kBlock == 0;
+        if (at_edge && block_edge == 0) block_edge = i;
+        if (!at_edge && mid_block == 0) mid_block = i;
+      }
+      ASSERT_NE(mid_block, 0u);
+      ASSERT_NE(block_edge, 0u);
+
+      for (const std::size_t checkpoint : {mid_block, block_edge}) {
+        SCOPED_TRACE("checkpoint after access " + std::to_string(checkpoint));
+        KrrStack uninterrupted(cfg);
+        DistanceHistogram uninterrupted_hist;
+        const auto record = [](DistanceHistogram& hist, const KrrStack::AccessResult& result) {
+          if (result.cold) {
+            hist.record_infinite();
+          } else {
+            hist.record(result.position);
+          }
+        };
+        for (std::size_t i = 0; i <= checkpoint; ++i) {
+          record(uninterrupted_hist,
+                 uninterrupted.access(trace[i].key, size_of_key(trace[i].key)));
+        }
+        std::string payload;
+        uninterrupted.save_state(payload);
+        KrrStack restored(cfg);
+        ckpt::ByteReader reader(payload);
+        ASSERT_TRUE(restored.load_state(reader));
+        DistanceHistogram restored_hist = uninterrupted_hist;
+        for (std::size_t i = checkpoint + 1; i < trace.size(); ++i) {
+          SCOPED_TRACE(i);
+          const std::uint32_t size = size_of_key(trace[i].key);
+          const KrrStack::AccessResult want = uninterrupted.access(trace[i].key, size);
+          const KrrStack::AccessResult got = restored.access(trace[i].key, size);
+          ASSERT_EQ(got.cold, want.cold);
+          ASSERT_EQ(got.position, want.position);
+          ASSERT_EQ(got.byte_distance, want.byte_distance);
+          record(uninterrupted_hist, want);
+          record(restored_hist, got);
+          std::string want_payload;
+          std::string got_payload;
+          uninterrupted.save_state(want_payload);
+          restored.save_state(got_payload);
+          ASSERT_EQ(got_payload, want_payload);
+          const MissRatioCurve want_curve = uninterrupted_hist.to_mrc();
+          const MissRatioCurve got_curve = restored_hist.to_mrc();
+          ASSERT_EQ(got_curve.points().size(), want_curve.points().size());
+          for (std::size_t p = 0; p < want_curve.points().size(); ++p) {
+            ASSERT_EQ(got_curve.points()[p].size, want_curve.points()[p].size);
+            ASSERT_EQ(got_curve.points()[p].miss_ratio, want_curve.points()[p].miss_ratio);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -454,6 +455,66 @@ TEST(ProfilerMetricsTest, SwapCounterMatchesFigure54Instrumentation) {
   stack.attach_metrics(&metrics.stack);
   for (const Request& r : trace) stack.access(r.key);
   EXPECT_EQ(metrics.stack.swaps->value(), stack.swaps_performed());
+}
+
+// The stack keeps cold misses and chain lengths in its own fields and folds
+// them into the shared metrics on the timing stride and whenever they are
+// published: a flush, a detach, and the krr estimator's finish() leave
+// every count exact, whatever the access count's remainder mod the stride.
+TEST(ProfilerMetricsTest, StackFoldsHeldCountsWhenPublished) {
+  const auto trace = zipf_trace(3 * KrrStack::kTimingStride + 37, 500, 9);
+  obs::MetricsRegistry registry;
+  obs::PipelineMetrics metrics(registry);
+  KrrStackConfig cfg;
+  cfg.k = corrected_k(5);
+  KrrStack stack(cfg);
+  stack.attach_metrics(&metrics.stack);
+  std::array<std::uint64_t, LogHistogram::kBuckets> want{};
+  std::uint64_t cold = 0;
+  const auto drive = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint64_t before = stack.swaps_performed();
+      cold += stack.access(trace[i].key).cold ? 1 : 0;
+      ++want[LogHistogram::bucket_index(stack.swaps_performed() - before)];
+    }
+  };
+  const auto expect_exact = [&](std::uint64_t accesses) {
+    EXPECT_EQ(metrics.stack.cold_misses->value(), cold);
+    EXPECT_EQ(metrics.stack.chain_len->count(), accesses);
+    EXPECT_EQ(metrics.stack.chain_len->sum(), stack.swaps_performed());
+    for (std::size_t b = 0; b < LogHistogram::kBuckets; ++b) {
+      EXPECT_EQ(metrics.stack.chain_len->bucket_count(b), want[b]) << "bucket " << b;
+    }
+  };
+  const std::size_t half = trace.size() / 2;
+  drive(0, half);
+  // Between publishes only the live swap counter is exact.
+  EXPECT_EQ(metrics.stack.swaps->value(), stack.swaps_performed());
+  EXPECT_LT(metrics.stack.chain_len->count(), half);
+  stack.flush_metrics();
+  expect_exact(half);
+  drive(half, trace.size());
+  stack.attach_metrics(nullptr);
+  expect_exact(trace.size());
+  // Detached accesses are not counted, and nothing is folded twice.
+  stack.access(trace.front().key);
+  stack.flush_metrics();
+  EXPECT_EQ(metrics.stack.chain_len->count(), trace.size());
+
+  // The registry's krr model folds at finish(), with no gauge refresh.
+  obs::MetricsRegistry model_registry;
+  obs::PipelineMetrics model_metrics(model_registry);
+  auto options = EstimatorOptions::parse("k=5,seed=3");
+  ASSERT_TRUE(options.is_ok());
+  auto est = EstimatorRegistry::instance().create("krr", *options);
+  ASSERT_TRUE(est.is_ok());
+  (*est)->attach_metrics(&model_metrics);
+  for (const Request& r : trace) (*est)->access(r);
+  (*est)->finish();
+  EXPECT_EQ(model_metrics.stack.chain_len->count(), trace.size());
+  EXPECT_EQ(model_metrics.stack.chain_len->sum(), model_metrics.stack.swaps->value());
+  EXPECT_EQ(model_metrics.stack.cold_misses->value(),
+            static_cast<std::uint64_t>((*est)->model_gauges().depth));
 }
 
 TEST(ProfilerMetricsTest, DegradationEventsAreCounted) {

@@ -281,6 +281,118 @@ TEST(SwapSamplerBatched, IntegerBoundariesFallBackToPow) {
   EXPECT_EQ(swap_kernel::certain_previous_swap(1e-9, 11), 1u);
 }
 
+// Consecutive walks on one SwapDraws, as KrrStack runs them: each walk
+// starts where the previous one left the block, and the generator with its
+// unconsumed draws given back must be the one-draw sampler's after every
+// walk.
+TEST(SwapSamplerBatched, CarriedDrawsMatchTheOneDrawSampler) {
+  for (const double k : equivalence_exponents()) {
+    SwapSampler sampler(UpdateStrategy::kBackward, k);
+    Xoshiro256ss rng(11);
+    SwapDraws draws;
+    Xoshiro256ss reference_rng(11);
+    Xoshiro256ss phi_rng(12);
+    std::vector<std::uint64_t> chain;
+    std::vector<std::uint64_t> expected;
+    std::vector<std::uint64_t> phis = {2, 3, 17, 52801, std::uint64_t{1} << 40, 2, 2, 3};
+    for (int n = 0; n < 100000; ++n) {
+      const std::uint64_t bits = 1 + phi_rng.next_below(24);
+      phis.push_back(2 + phi_rng.next_below(std::uint64_t{1} << bits));
+    }
+    for (const std::uint64_t phi : phis) {
+      chain.assign(1, phi);
+      const std::uint64_t visited =
+          sampler.walk_backward(phi, rng, draws, [&](std::uint64_t x, std::uint64_t i) {
+            EXPECT_EQ(i, chain.back());
+            chain.push_back(x);
+          });
+      std::reverse(chain.begin(), chain.end());
+      reference_backward(k, phi, reference_rng, expected);
+      ASSERT_EQ(chain, expected) << "k=" << k << " phi=" << phi;
+      ASSERT_EQ(visited + 1, chain.size()) << "k=" << k << " phi=" << phi;
+      ASSERT_EQ(state_of(draws.logical(rng)), state_of(reference_rng))
+          << "k=" << k << " phi=" << phi;
+    }
+  }
+}
+
+// previous_swap's step for the placing-back model, one std::pow per call.
+std::uint64_t pow_step(double k, std::uint64_t i, double r) {
+  const double scaled = std::pow(r, 1.0 / k) * static_cast<double>(i - 1);
+  return std::clamp<std::uint64_t>(static_cast<std::uint64_t>(std::ceil(scaled)), 1, i - 1);
+}
+
+// The fixed-point step may refuse any step, but a step it decides must be
+// the one std::pow decides. Uniform draws alone almost never come near the
+// band, so a quarter of the draws each are: tiny (u near 0 for small K'),
+// within 2^-33 of 1 (u * (i-1) just under the integer i-1), and rooted to
+// within a few ulps of m/(i-1) for an integer m (u * (i-1) on an integer).
+// A band of zero width fails this test, and so does a band without its
+// absolute term for q's truncation.
+TEST(SwapSamplerBatched, FixedPointStepDecidesOnlyWhatPowDecides) {
+  const std::vector<double> ks = {1.0, std::pow(2.0, 1.4), std::pow(5.0, 1.4),
+                                  std::pow(16.0, 1.4), 2.5};
+  constexpr int kPairsPerK = 1 << 18;  // 5 x 2^18 > 10^6 pairs
+  Xoshiro256ss rng(21);
+  for (const double k : ks) {
+    const swap_kernel::RootConstants constants = swap_kernel::root_constants(1.0 / k);
+    std::uint64_t decided = 0;
+    std::uint64_t refused_per_family[4] = {};  // by draw family, j % 4
+    for (int start = 0; start < kPairsPerK; start += static_cast<int>(swap_kernel::kBlock)) {
+      double r[swap_kernel::kBlock];
+      std::uint64_t i[swap_kernel::kBlock];
+      for (std::size_t j = 0; j < swap_kernel::kBlock; ++j) {
+        // i log-uniform in [2, 2^32].
+        const double log_i = 1.0 + 31.0 * rng.next_double();
+        i[j] = std::clamp<std::uint64_t>(static_cast<std::uint64_t>(std::exp2(log_i)), 2,
+                                         std::uint64_t{1} << 32);
+        switch (j % 4) {
+          case 0:
+            r[j] = rng.next_double_open0();
+            break;
+          case 1:
+            r[j] = std::max(std::ldexp(rng.next_double_open0(),
+                                       -static_cast<int>(rng.next_below(53))),
+                            0x1p-53);
+            break;
+          case 2:
+            r[j] = 1.0 - std::ldexp(static_cast<double>(rng.next_below(std::uint64_t{1} << 20)),
+                                    -53);
+            break;
+          default: {
+            // Half with a small m: u far below 2^-11, where q's truncation
+            // outweighs the kernel's relative error.
+            const std::uint64_t m_bound = start % 32 == 0 ? std::min<std::uint64_t>(16, i[j] - 1)
+                                                          : i[j] - 1;
+            const auto m = static_cast<double>(1 + rng.next_below(m_bound));
+            double target = std::pow(m / static_cast<double>(i[j] - 1), k);
+            for (std::uint64_t nudge = rng.next_below(7); nudge > 0; --nudge) {
+              target = std::nextafter(target, nudge % 2 == 0 ? 0.0 : 2.0);
+            }
+            r[j] = std::clamp(target, 0x1p-53, 1.0);
+            break;
+          }
+        }
+      }
+      std::uint64_t q[swap_kernel::kBlock];
+      swap_kernel::fixed_root_block(r, q, constants);
+      for (std::size_t j = 0; j < swap_kernel::kBlock; ++j) {
+        const swap_kernel::Step step = swap_kernel::fixed_step(q[j], i[j] - 1);
+        if (!step.certain) {
+          ++refused_per_family[j % 4];
+          continue;
+        }
+        ++decided;
+        ASSERT_EQ(step.whole + 1, pow_step(k, i[j], r[j]))
+            << "k=" << k << " i=" << i[j] << " r=" << r[j];
+      }
+    }
+    // Not vacuous: most steps are decided, uniform draws nearly always.
+    EXPECT_GT(decided, static_cast<std::uint64_t>(kPairsPerK) / 2) << "k=" << k;
+    EXPECT_LT(refused_per_family[0], static_cast<std::uint64_t>(kPairsPerK) / 4000) << "k=" << k;
+  }
+}
+
 TEST(SwapSampler, StrategyNamesAreStable) {
   EXPECT_EQ(to_string(UpdateStrategy::kLinear), "linear");
   EXPECT_EQ(to_string(UpdateStrategy::kTopDown), "top_down");

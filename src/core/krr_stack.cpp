@@ -169,6 +169,7 @@ void KrrStack::flush_metrics() const noexcept {
   static_assert(std::tuple_size_v<decltype(pending_.chain_len)> == obs::LogHistogram::kBuckets);
   if (metrics_ == nullptr) return;
   if (pending_.cold_misses != 0) metrics_->cold_misses->inc(pending_.cold_misses);
+  if (pending_.chain_sum != 0) metrics_->swaps->inc(pending_.chain_sum);
   metrics_->chain_len->record_counts(pending_.chain_len, pending_.chain_sum);
   pending_ = PendingMetrics{};
 }
@@ -183,11 +184,10 @@ KrrStack::AccessResult KrrStack::access_instrumented(std::uint64_t key,
   // Timing every access would cost two clock reads (~40 ns) against a
   // ~100 ns update — far over the obs overhead budget. Sampling every
   // kTimingStride-th access keeps update_ns statistically representative
-  // at ~1/64 of that cost. The cold-miss and chain-length counts go to
-  // plain fields and reach the shared metrics on the same stride (and at
-  // every flush_metrics), so they are exact once published. stack.swaps
-  // stays live, one relaxed add per access: it is read against
-  // swaps_performed() at any point of a run.
+  // at ~1/64 of that cost. The swap, cold-miss and chain-length counts go
+  // to plain fields and reach the shared metrics on the same stride (and
+  // at every flush_metrics), so they are exact once published and no
+  // shared atomic is touched on the other accesses.
   const bool timed = (metrics_seq_++ % kTimingStride) == 0;
   std::optional<Stopwatch> timer;
   if (timed) timer.emplace();
@@ -197,7 +197,6 @@ KrrStack::AccessResult KrrStack::access_instrumented(std::uint64_t key,
   pending_.cold_misses += result.cold ? 1 : 0;
   pending_.chain_sum += chain;
   ++pending_.chain_len[static_cast<std::size_t>(std::bit_width(chain))];
-  metrics_->swaps->inc(chain);
   if (timed) {
     metrics_->update_ns->record(timer->nanos());
     flush_metrics();

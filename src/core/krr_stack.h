@@ -153,15 +153,14 @@ class KrrStack {
 
   /// Every kTimingStride-th instrumented access reads the clock twice to
   /// feed stack.update_ns and folds the counts the stack holds into the
-  /// attached metrics; the rest touch only the stack's own fields and the
-  /// live stack.swaps counter.
+  /// attached metrics; the rest touch only the stack's own fields.
   static constexpr std::uint64_t kTimingStride = 64;
 
-  /// Folds the cold misses and chain lengths counted since the last fold
-  /// into the attached metrics (stack.cold_misses, stack.chain_len), so
-  /// they are exact. Called by whoever publishes the metrics (the
-  /// profiler's gauge refresh, an estimator's finish). Changes no model
-  /// state.
+  /// Folds the swaps, cold misses and chain lengths counted since the last
+  /// fold into the attached metrics (stack.swaps, stack.cold_misses,
+  /// stack.chain_len), so they are exact. Called by whoever publishes the
+  /// metrics (the profiler's gauge refresh, an estimator's finish).
+  /// Changes no model state.
   void flush_metrics() const noexcept;
 
   const KrrStackConfig& config() const noexcept { return config_; }
@@ -223,7 +222,7 @@ class KrrStack {
   /// Mutable because flush_metrics() moves them out on const paths.
   struct PendingMetrics {
     std::uint64_t cold_misses = 0;
-    std::uint64_t chain_sum = 0;
+    std::uint64_t chain_sum = 0;  // also the stack.swaps increment
     std::array<std::uint64_t, 65> chain_len{};  // LogHistogram buckets
   };
   mutable PendingMetrics pending_;

@@ -7,12 +7,31 @@ namespace krr {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum used
 /// by the v2 trace format's header and per-block integrity fields, and by
-/// the checkpoint seals. Slicing-by-8 (eight 1 KiB tables, 8 bytes per
-/// step): 1.5 GB/s on one core of a 4-vCPU x86-64 host, against 0.31 GB/s
-/// for the byte-at-a-time table loop it replaced, which was 70% of the time
-/// spent streaming a v2 trace.
+/// the checkpoint seals. On an x86-64 CPU with PCLMULQDQ and SSE4.1 (one
+/// run-time check), the 16-byte-multiple head of an input of 64 bytes or
+/// more is folded with carry-less multiplies; shorter inputs, the tail and
+/// every other CPU take portable slicing-by-8. On one core of a 4-vCPU
+/// x86-64 host the folded path reads 5.8 GB/s and slicing-by-8 1.6 GB/s,
+/// so a 130-MB buffer checks in 0.023 s against 0.084 s. Both paths give
+/// the same value for every input.
 std::uint32_t crc32(const void* data, std::size_t length,
                     std::uint32_t seed = 0);
+
+namespace detail {
+
+/// The two implementations behind crc32(), exposed so that each can be
+/// tested against the other and a bitwise reference. crc32_folded may be
+/// called only when folded_available(); on other builds it is the
+/// portable path.
+std::uint32_t crc32_portable(const void* data, std::size_t length,
+                             std::uint32_t seed = 0);
+std::uint32_t crc32_folded(const void* data, std::size_t length,
+                           std::uint32_t seed = 0);
+/// Whether this CPU runs the folded path (x86-64 with PCLMULQDQ and
+/// SSE4.1). Read once; safe to call during static initialization.
+bool folded_available() noexcept;
+
+}  // namespace detail
 
 /// Incremental form: feed successive chunks, passing the previous return
 /// value as `seed`. crc32(a+b) == crc32(b, crc32(a)).

@@ -159,5 +159,68 @@ TEST(Crc32, DetectsSingleBitFlips) {
   }
 }
 
+using CrcFunction = std::uint32_t (*)(const void*, std::size_t, std::uint32_t);
+
+/// Lengths 0..320 reach the folded path's 64-byte steps (up to four), its
+/// 16-byte steps and every tail length; offsets 0..15 cover every alignment
+/// of the 16-byte loads.
+void expect_matches_reference(CrcFunction crc) {
+  const auto bytes = random_bytes(320 + 16, 4);
+  for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t length = 0; length <= 320; ++length) {
+        ASSERT_EQ(crc(bytes.data() + offset, length, seed),
+                  reference_crc32(bytes.data() + offset, length, seed))
+            << "seed " << seed << " offset " << offset << " length " << length;
+      }
+    }
+  }
+}
+
+TEST(Crc32Paths, PortableMatchesBitwiseReference) {
+  expect_matches_reference(&detail::crc32_portable);
+}
+
+TEST(Crc32Paths, FoldedMatchesBitwiseReference) {
+  if (!detail::folded_available()) {
+    GTEST_SKIP() << "this CPU or build has no carry-less-multiply CRC path";
+  }
+  expect_matches_reference(&detail::crc32_folded);
+}
+
+TEST(Crc32Paths, DispatchedMatchesPortableOnAMebibyte) {
+  const auto bytes = random_bytes(1 << 20, 5);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()),
+            detail::crc32_portable(bytes.data(), bytes.size()));
+  EXPECT_EQ(crc32(bytes.data(), bytes.size(), 0xDEADBEEFu),
+            detail::crc32_portable(bytes.data(), bytes.size(), 0xDEADBEEFu));
+}
+
+TEST(Crc32, IncrementalMatchesReferenceAtEverySplitAcrossFoldBoundaries) {
+  // 300 bytes: each side of a split is folded, sliced, or both, and the
+  // split crosses every 64-byte and 16-byte fold boundary.
+  const auto bytes = random_bytes(300, 6);
+  const std::uint32_t whole = reference_crc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    Crc32 inc;
+    inc.update(bytes.data(), split);
+    inc.update(bytes.data() + split, bytes.size() - split);
+    EXPECT_EQ(inc.value(), whole) << "split " << split;
+  }
+}
+
+TEST(Crc32, DetectsSingleBitFlipsAtFoldedLengths) {
+  auto bytes = random_bytes(256, 7);
+  const std::uint32_t clean = crc32(bytes.data(), bytes.size());
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] = static_cast<unsigned char>(bytes[i] ^ (1 << bit));
+      EXPECT_NE(crc32(bytes.data(), bytes.size()), clean)
+          << "byte " << i << " bit " << bit;
+      bytes[i] = static_cast<unsigned char>(bytes[i] ^ (1 << bit));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace krr

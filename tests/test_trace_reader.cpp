@@ -227,6 +227,32 @@ TEST(TraceReaderV2, MaxBadRecordsBudgetEnforced) {
   EXPECT_EQ(limited.status().code(), StatusCode::kResourceLimit);
 }
 
+TEST(TraceReaderV2, FlippedPayloadBitFailsStrictAndSkipsItsBlock) {
+  // Three blocks of 20 records: each payload is 260 bytes, so its CRC runs
+  // through the folded head and the sliced tail. Flip one bit in the middle
+  // block, past its first 64 bytes.
+  const auto trace = make_trace(60);
+  std::string bytes = to_v2_bytes(trace, 20);
+  const std::size_t middle_payload = 28 + 2 * 12 + 20 * 13;
+  bytes[middle_payload + 100] = static_cast<char>(bytes[middle_payload + 100] ^ 0x08);
+
+  std::stringstream strict_ss(bytes);
+  auto strict = read_trace(strict_ss, {.policy = RecoveryPolicy::kStrict});
+  ASSERT_FALSE(strict.is_ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kChecksumMismatch);
+
+  std::stringstream skip_ss(bytes);
+  TraceReadReport report;
+  auto skipped = read_trace(skip_ss, {.policy = RecoveryPolicy::kSkipAndCount},
+                            &report);
+  ASSERT_TRUE(skipped.is_ok());
+  std::vector<Request> want(trace.begin(), trace.begin() + 20);
+  want.insert(want.end(), trace.begin() + 40, trace.end());
+  EXPECT_EQ(*skipped, want);
+  EXPECT_EQ(report.records_skipped, 20u);
+  EXPECT_EQ(report.checksum_failures, 1u);
+}
+
 TEST(TraceReaderV2, ResyncsAfterCorruptBlockHeader) {
   const auto trace = make_trace(200);
   std::string bytes = to_v2_bytes(trace, 50);

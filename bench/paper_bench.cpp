@@ -1169,8 +1169,9 @@ void ablation_sizearray(Claims& claims) {
   }
   print_table(table, "var-KRR ablation: sizeArray base vs exact byte tracking");
   std::cout << "(expected shape: error grows mildly with the base while cost\n"
-               " falls slightly; the exact tracker bounds the achievable\n"
-               " accuracy at a higher per-update cost)\n";
+               " stays flat, one table lookup per move at any base; the exact\n"
+               " tracker bounds the achievable accuracy at a higher per-update\n"
+               " cost)\n";
   // Measured at scales 0.1/0.3/1: max 0.0018/0.0028/0.0061, each at b16.
   claims.check(worst <= 0.0077, "var-KRR MAE <= 0.0077 at every sizeArray base",
                format_double(worst, 4));

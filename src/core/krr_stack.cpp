@@ -259,10 +259,11 @@ void KrrStack::rotate(std::uint64_t phi, std::uint64_t key, std::uint32_t size,
   // moves its resident down to the previous swap position (phi, the
   // referenced object's, first), and the referenced object lands at 1. Slots travel
   // with their keys, so each move updates its slot's position without
-  // hashing. The byte trackers are charged before the move, while sizes
-  // still holds both the mover's and the displaced object's size. The
-  // step captures only plain pointers, so it keeps them in registers
-  // across the walk.
+  // hashing. The byte trackers see each move before it happens, while sizes
+  // still holds both the mover's and the displaced object's size; the
+  // sizeArray only records the mover and charges its boundaries once,
+  // after the walk. The step captures only plain pointers, so it keeps
+  // them in registers across the walk.
   std::uint64_t* const keys = stack_.data();
   std::uint32_t* const sizes = sizes_.data();
   std::uint32_t* const slots = slots_.data();
@@ -273,7 +274,7 @@ void KrrStack::rotate(std::uint64_t phi, std::uint64_t key, std::uint32_t size,
     const std::uint64_t src = x - 1;
     const std::uint64_t dst = to - 1;
     if constexpr (kTrackBytes) {
-      size_array->on_move(x, sizes[src]);
+      size_array->on_move(to, sizes[src]);
       if (exact != nullptr) exact->on_move(to, sizes[src], sizes[dst]);
     }
     const std::uint32_t moved = slots[src];
@@ -291,6 +292,7 @@ void KrrStack::rotate(std::uint64_t phi, std::uint64_t key, std::uint32_t size,
     swaps_performed_ += chain_.size();
   }
   if constexpr (kTrackBytes) {
+    size_array->end_rotation();
     if (exact != nullptr) exact->on_move(1, size, sizes[0]);
   }
   keys[0] = key;

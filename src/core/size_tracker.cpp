@@ -8,6 +8,17 @@ namespace krr {
 
 SizeArray::SizeArray(std::uint32_t base) : base_(base) {
   if (base_ < 2) throw std::invalid_argument("sizeArray base must be >= 2");
+  buckets_.fill(Bucket{kNoPower, 0});
+  for (std::uint64_t power = 1;; power *= base_) {
+    buckets_[static_cast<std::size_t>(std::bit_width(power))].power = power;
+    if (power > kNoPower / base_) break;
+  }
+  std::uint64_t below = 0;
+  for (Bucket& bucket : buckets_) {
+    bucket.below = below;
+    if (bucket.power != kNoPower) ++below;
+  }
+  crossing_.fill(kUncrossed);
 }
 
 void SizeArray::ensure_boundaries(std::uint64_t stack_length) {
@@ -28,13 +39,22 @@ void SizeArray::on_append(std::uint32_t size, std::uint64_t new_length) {
   assert(new_length == covered_length_ + 1);
   // Existing accumulators whose boundary reaches the new position gain the
   // new object; shorter prefixes are unaffected.
-  for (std::size_t j = boundaries_.size(); j-- > 0;) {
-    if (boundaries_[j] < new_length) break;
-    sums_[j] += size;
-  }
+  for (std::size_t j = boundaries_below(new_length); j < sums_.size(); ++j) sums_[j] += size;
   total_ += size;
   covered_length_ = new_length;
   ensure_boundaries(new_length);
+}
+
+void SizeArray::end_rotation() {
+  // The deepest boundary below phi is always written: the first move lands
+  // at phi. Unsigned wraparound makes the charge exact in any order.
+  std::uint64_t crosser = 0;
+  for (std::size_t j = top_; j-- > 0;) {
+    if (crossing_[j] != kUncrossed) crosser = crossing_[j];
+    crossing_[j] = kUncrossed;
+    sums_[j] += ref_size_ - crosser;
+  }
+  top_ = 0;
 }
 
 void SizeArray::on_rotate(std::span<const std::uint64_t> chain,
@@ -43,18 +63,17 @@ void SizeArray::on_rotate(std::span<const std::uint64_t> chain,
   if (chain.empty()) throw std::invalid_argument("swap chain must be non-empty");
   begin_rotation(chain.back(), ref_size);
   for (std::size_t j = chain.size() - 1; j-- > 0;) {
-    on_move(chain[j], sizes_before[chain[j] - 1]);
+    on_move(chain[j + 1], sizes_before[chain[j] - 1]);
   }
+  end_rotation();
 }
 
 void SizeArray::on_resize(std::uint64_t position, std::uint32_t old_size,
                           std::uint32_t new_size) {
   const std::int64_t delta =
       static_cast<std::int64_t>(new_size) - static_cast<std::int64_t>(old_size);
-  for (std::size_t j = 0; j < boundaries_.size(); ++j) {
-    if (boundaries_[j] >= position) {
-      sums_[j] = static_cast<std::uint64_t>(static_cast<std::int64_t>(sums_[j]) + delta);
-    }
+  for (std::size_t j = boundaries_below(position); j < sums_.size(); ++j) {
+    sums_[j] = static_cast<std::uint64_t>(static_cast<std::int64_t>(sums_[j]) + delta);
   }
   total_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(total_) + delta);
 }
@@ -63,10 +82,8 @@ std::uint64_t SizeArray::byte_distance(std::uint64_t phi) const {
   if (phi == 0 || phi > covered_length_) {
     throw std::out_of_range("byte_distance: position beyond the stack");
   }
-  // Largest boundary <= phi (boundaries are sorted; log-many entries, so a
-  // linear scan is as fast as binary search in practice).
-  std::size_t index = 0;
-  while (index + 1 < boundaries_.size() && boundaries_[index + 1] <= phi) ++index;
+  // Largest boundary <= phi.
+  const std::size_t index = boundaries_below(phi + 1) - 1;
   const std::uint64_t sd_low = boundaries_[index];
   const std::uint64_t sum_low = sums_[index];
   if (sd_low == phi) return sum_low;

@@ -25,6 +25,15 @@ MissRatioCurve::MissRatioCurve(std::vector<Point> points) : points_(std::move(po
 
 void MissRatioCurve::add_point(double size, double miss_ratio) {
   Point p{size, miss_ratio};
+  // Points given in ascending size order append (or replace the last).
+  if (points_.empty() || size > points_.back().size) {
+    points_.push_back(p);
+    return;
+  }
+  if (size == points_.back().size) {
+    points_.back().miss_ratio = miss_ratio;
+    return;
+  }
   auto it = std::lower_bound(points_.begin(), points_.end(), size,
                              [](const Point& a, double s) { return a.size < s; });
   if (it != points_.end() && it->size == size) {

@@ -26,7 +26,8 @@ class MissRatioCurve {
   /// sizes keep the last-given miss ratio.
   explicit MissRatioCurve(std::vector<Point> points);
 
-  /// Adds a breakpoint, keeping the representation sorted.
+  /// Adds a breakpoint, keeping the representation sorted; a point at or
+  /// beyond the largest size so far costs O(1).
   void add_point(double size, double miss_ratio);
 
   /// Miss ratio at cache size c (step interpolation). An empty curve

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -626,6 +627,232 @@ TEST(KrrStackCarriedDraws, CheckpointMidBlockAndAtABlockEdgeResumeBitIdentically
             ASSERT_EQ(got_curve.points()[p].size, want_curve.points()[p].size);
             ASSERT_EQ(got_curve.points()[p].miss_ratio, want_curve.points()[p].miss_ratio);
           }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace krr
+
+namespace krr {
+namespace {
+
+// The sizeArray rotation as it was first written: begin_rotation finds the
+// boundaries below phi by a scan, and each move charges, one branch per
+// boundary, every boundary from its swap position up to the previous one.
+// KrrStack charges the same boundaries once per rotation, so both must
+// hold the same sums and give the same byte distances.
+class PendingLoopSizeArray {
+ public:
+  explicit PendingLoopSizeArray(std::uint32_t base) : base_(base) {}
+
+  void on_append(std::uint32_t size, std::uint64_t new_length) {
+    for (std::size_t j = boundaries_.size(); j-- > 0;) {
+      if (boundaries_[j] < new_length) break;
+      sums_[j] += size;
+    }
+    total_ += size;
+    covered_length_ = new_length;
+    if (boundaries_.empty()) {
+      boundaries_.push_back(1);
+      sums_.push_back(total_);
+    }
+    while (boundaries_.back() < new_length) {
+      boundaries_.push_back(boundaries_.back() * base_);
+      sums_.push_back(total_);
+    }
+  }
+
+  void begin_rotation(std::uint64_t phi, std::uint32_t ref_size) {
+    std::size_t below = 0;
+    while (below < boundaries_.size() && boundaries_[below] < phi) ++below;
+    pending_ = below;
+    ref_size_ = ref_size;
+  }
+
+  void on_move(std::uint64_t x, std::uint32_t size) {
+    while (pending_ > 0 && boundaries_[pending_ - 1] >= x) {
+      std::uint64_t& sum = sums_[--pending_];
+      sum += ref_size_;
+      sum -= size;
+    }
+  }
+
+  void on_resize(std::uint64_t position, std::uint32_t old_size, std::uint32_t new_size) {
+    const std::int64_t delta =
+        static_cast<std::int64_t>(new_size) - static_cast<std::int64_t>(old_size);
+    for (std::size_t j = 0; j < boundaries_.size(); ++j) {
+      if (boundaries_[j] >= position) {
+        sums_[j] = static_cast<std::uint64_t>(static_cast<std::int64_t>(sums_[j]) + delta);
+      }
+    }
+    total_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(total_) + delta);
+  }
+
+  std::uint64_t byte_distance(std::uint64_t phi) const {
+    std::size_t index = 0;
+    while (index + 1 < boundaries_.size() && boundaries_[index + 1] <= phi) ++index;
+    const std::uint64_t sd_low = boundaries_[index];
+    const std::uint64_t sum_low = sums_[index];
+    if (sd_low == phi) return sum_low;
+    std::uint64_t sd_high;
+    std::uint64_t sum_high;
+    if (index + 1 < boundaries_.size() && boundaries_[index + 1] <= covered_length_) {
+      sd_high = boundaries_[index + 1];
+      sum_high = sums_[index + 1];
+    } else {
+      sd_high = covered_length_;
+      sum_high = total_;
+    }
+    if (sd_high <= sd_low) return sum_low;
+    const double frac = static_cast<double>(phi - sd_low) /
+                        static_cast<double>(sd_high - sd_low);
+    return sum_low + static_cast<std::uint64_t>(static_cast<double>(sum_high - sum_low) * frac);
+  }
+
+ private:
+  std::uint32_t base_;
+  std::vector<std::uint64_t> boundaries_;
+  std::vector<std::uint64_t> sums_;
+  std::uint64_t covered_length_ = 0;
+  std::uint64_t total_ = 0;
+  std::size_t pending_ = 0;
+  std::uint32_t ref_size_ = 0;
+};
+
+// A byte-tracking stack on PendingLoopSizeArray: the chain is drawn whole
+// by SwapSampler::sample on its own generator, then rotated deepest first.
+class PendingLoopStack {
+ public:
+  explicit PendingLoopStack(const KrrStackConfig& cfg)
+      : cfg_(cfg),
+        sampler_(cfg.strategy, cfg.k, cfg.sampling_model),
+        rng_(cfg.seed),
+        size_array_(cfg.size_array_base) {}
+
+  KrrStack::AccessResult access(std::uint64_t key, std::uint32_t size) {
+    KrrStack::AccessResult result{};
+    auto found = std::find(keys_.begin(), keys_.end(), key);
+    result.cold = found == keys_.end();
+    if (result.cold) {
+      keys_.push_back(key);
+      sizes_.push_back(size);
+      size_array_.on_append(size, keys_.size());
+      found = keys_.end() - 1;
+    }
+    const auto phi = static_cast<std::uint64_t>(found - keys_.begin()) + 1;
+    if (sizes_[phi - 1] != size) {
+      size_array_.on_resize(phi, sizes_[phi - 1], size);
+      sizes_[phi - 1] = size;
+    }
+    result.position = phi;
+    result.byte_distance = size_array_.byte_distance(phi);
+    sampler_.sample(phi, rng_, chain_);
+    swaps_ += chain_.size();
+    if (phi == 1) return result;
+    size_array_.begin_rotation(phi, size);
+    for (std::size_t j = chain_.size() - 1; j-- > 0;) {
+      size_array_.on_move(chain_[j], sizes_[chain_[j] - 1]);
+      keys_[chain_[j + 1] - 1] = keys_[chain_[j] - 1];
+      sizes_[chain_[j + 1] - 1] = sizes_[chain_[j] - 1];
+    }
+    keys_[0] = key;
+    sizes_[0] = size;
+    return result;
+  }
+
+  /// KrrStack::retain: survivors keep their order, the sizeArray is
+  /// replayed from them.
+  void retain(const std::function<bool(std::uint64_t)>& keep) {
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> sizes;
+    size_array_ = PendingLoopSizeArray(cfg_.size_array_base);
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (!keep(keys_[i])) continue;
+      keys.push_back(keys_[i]);
+      sizes.push_back(sizes_[i]);
+      size_array_.on_append(sizes_[i], keys.size());
+    }
+    keys_ = std::move(keys);
+    sizes_ = std::move(sizes);
+  }
+
+  /// The KrrStack::save_state payload this state must produce.
+  std::string payload() const {
+    std::string out;
+    ckpt::append_u64(out, keys_.size());
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      ckpt::append_u64(out, keys_[i]);
+      ckpt::append_u32(out, sizes_[i]);
+    }
+    ckpt::append_u64(out, swaps_);
+    std::uint64_t words[4];
+    rng_.save_state(words);
+    for (const std::uint64_t word : words) ckpt::append_u64(out, word);
+    return out;
+  }
+
+ private:
+  KrrStackConfig cfg_;
+  SwapSampler sampler_;
+  Xoshiro256ss rng_;
+  PendingLoopSizeArray size_array_;
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> sizes_;
+  std::vector<std::uint64_t> chain_;
+  std::uint64_t swaps_ = 0;
+};
+
+// Byte distances and the checkpoint payload after every access, for the
+// table bases as well as base 2, on a churny trace with in-place resizes,
+// across a retain() that evicts a third of the keys and a resume from a
+// checkpoint.
+TEST(KrrStackByteTracking, MatchesPendingLoopRotationAcrossRetainAndResume) {
+  for (const std::uint32_t base : {2u, 3u, 10u}) {
+    for (const UpdateStrategy strategy :
+         {UpdateStrategy::kBackward, UpdateStrategy::kTopDown, UpdateStrategy::kLinear}) {
+      SCOPED_TRACE("base " + std::to_string(base) + " " + to_string(strategy));
+      KrrStackConfig cfg = config(corrected_k(5.0), strategy, 4321);
+      cfg.track_bytes = true;
+      cfg.size_array_base = base;
+      auto stack = std::make_unique<KrrStack>(cfg);
+      PendingLoopStack reference(cfg);
+      Xoshiro256ss trace_rng(base);
+      std::vector<std::uint32_t> key_size(3000, 1);
+      std::uint64_t next_new_key = 400;
+      constexpr int kAccesses = 3000;
+      for (int i = 0; i < kAccesses; ++i) {
+        SCOPED_TRACE(i);
+        std::uint64_t key;
+        if (trace_rng.next_double() < 0.08) {
+          key = next_new_key++ % key_size.size();
+        } else {
+          const double u = trace_rng.next_double();
+          key = static_cast<std::uint64_t>(u * u * 400.0);
+        }
+        if (trace_rng.next_double() < 0.125) {
+          key_size[key] = 1 + static_cast<std::uint32_t>(trace_rng.next_below(5000));
+        }
+        const KrrStack::AccessResult want = reference.access(key, key_size[key]);
+        const KrrStack::AccessResult got = stack->access(key, key_size[key]);
+        ASSERT_EQ(got.cold, want.cold);
+        ASSERT_EQ(got.position, want.position);
+        ASSERT_EQ(got.byte_distance, want.byte_distance);
+        std::string payload;
+        stack->save_state(payload);
+        ASSERT_EQ(payload, reference.payload());
+        if (i == kAccesses / 3) {
+          const auto keep = [](std::uint64_t k) { return k % 3 != 0; };
+          ASSERT_GT(stack->retain(keep), 0u);
+          reference.retain(keep);
+        }
+        if (i == 2 * kAccesses / 3) {
+          auto resumed = std::make_unique<KrrStack>(cfg);
+          ckpt::ByteReader reader(payload);
+          ASSERT_TRUE(resumed->load_state(reader));
+          stack = std::move(resumed);
         }
       }
     }

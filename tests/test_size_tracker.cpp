@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/size_tracker.h"
@@ -27,6 +28,8 @@ class MirrorStack {
     }
     sizes_[0] = ref_size;
   }
+
+  void resize(std::uint64_t position, std::uint32_t size) { sizes_[position - 1] = size; }
 
   std::uint64_t prefix(std::uint64_t phi) const {
     std::uint64_t sum = 0;
@@ -56,6 +59,13 @@ struct Harness {
     size_array.on_rotate(chain, mirror.sizes(), ref_size);
     exact.on_rotate(chain, mirror.sizes(), ref_size);
     mirror.rotate(chain, ref_size);
+  }
+
+  void resize(std::uint64_t position, std::uint32_t size) {
+    const std::uint32_t old_size = mirror.sizes()[position - 1];
+    size_array.on_resize(position, old_size, size);
+    exact.on_resize(position, old_size, size);
+    mirror.resize(position, size);
   }
 
   SizeArray size_array;
@@ -90,32 +100,71 @@ TEST(SizeArray, ByteDistanceThrowsOutOfRange) {
   EXPECT_THROW(arr.byte_distance(2), std::out_of_range);
 }
 
-TEST(SizeArray, ExactAtBoundaries) {
-  // At every power-of-b position the estimate must be exact, on any
-  // update history: that is the sizeArray invariant (Fig. 4.4).
-  for (std::uint32_t base : {2u, 4u, 8u}) {
-    Harness h(base);
-    SwapSampler sampler(UpdateStrategy::kBackward, 3.0);
-    Xoshiro256ss rng(base);
-    std::vector<std::uint64_t> chain;
-    for (int step = 0; step < 3000; ++step) {
-      const std::uint32_t size = 1 + static_cast<std::uint32_t>(rng.next_below(100));
-      std::uint64_t phi;
-      if (h.mirror.sizes().empty() || rng.next_double() < 0.3) {
-        h.append(size);
-        phi = h.mirror.sizes().size();
-      } else {
-        phi = 1 + rng.next_below(h.mirror.sizes().size());
+TEST(SizeArray, BoundariesBelowCountsPowersUnderPosition) {
+  for (const std::uint32_t base : {2u, 3u, 4u, 5u, 7u, 10u, 16u, 255u, 1000u, 65536u,
+                                   4294967295u}) {
+    SCOPED_TRACE("base " + std::to_string(base));
+    std::vector<std::uint64_t> powers;
+    for (std::uint64_t p = 1;; p *= base) {
+      powers.push_back(p);
+      if (p > ~std::uint64_t{0} / base) break;
+    }
+    const auto brute = [&powers](std::uint64_t v) {
+      return static_cast<std::size_t>(
+          std::count_if(powers.begin(), powers.end(), [v](std::uint64_t p) { return p < v; }));
+    };
+    const SizeArray arr(base);
+    std::vector<std::uint64_t> probes;
+    for (std::uint64_t v = 1; v <= 3000; ++v) probes.push_back(v);
+    for (const std::uint64_t p : powers) {
+      for (const std::uint64_t v : {p - 1, p, p + 1}) {
+        if (v >= 1) probes.push_back(v);
       }
-      sampler.sample(phi, rng, chain);
-      const std::uint32_t ref_size = h.mirror.sizes()[phi - 1];
-      h.rotate(chain, ref_size);
-      // Check every boundary currently inside the stack.
-      for (std::size_t j = 0; j < h.size_array.entry_count(); ++j) {
-        const std::uint64_t b = h.size_array.boundary(j);
-        if (b > h.mirror.sizes().size()) break;
-        ASSERT_EQ(h.size_array.entry(j), h.mirror.prefix(b))
-            << "base " << base << " boundary " << b << " step " << step;
+      if (p < std::uint64_t{1} << 62) probes.insert(probes.end(), {2 * p - 1, 2 * p, 2 * p + 1});
+    }
+    for (const std::uint64_t v : probes) {
+      ASSERT_EQ(arr.boundaries_below(v), brute(v)) << "v " << v;
+    }
+  }
+}
+
+// At every power-of-b position the estimate must be exact, on any update
+// history: that is the sizeArray invariant (Fig. 4.4). Every accumulator
+// is checked, not only those inside the stack, after every append,
+// in-place resize and rotation: entry j holds the bytes at positions
+// [1, min(b^j, stack length)]. Bases 3 and 10 put some power-of-two
+// buckets without a boundary, so a rotation's moves leave boundaries that
+// no destination lands just above; the top-down carry must charge them.
+TEST(SizeArray, ExactAtBoundaries) {
+  for (const std::uint32_t base : {2u, 3u, 4u, 8u, 10u}) {
+    for (const UpdateStrategy strategy : {UpdateStrategy::kBackward, UpdateStrategy::kTopDown}) {
+      SCOPED_TRACE("base " + std::to_string(base) + " " + to_string(strategy));
+      Harness h(base);
+      SwapSampler sampler(strategy, 2.5);
+      Xoshiro256ss rng(base * 31 + 1);
+      std::vector<std::uint64_t> chain;
+      for (int step = 0; step < 4000; ++step) {
+        const std::uint32_t size = 1 + static_cast<std::uint32_t>(rng.next_below(1000));
+        std::uint64_t phi;
+        if (h.mirror.sizes().empty() || rng.next_double() < 0.2) {
+          h.append(size);
+          phi = h.mirror.sizes().size();
+        } else {
+          phi = 1 + rng.next_below(h.mirror.sizes().size());
+          if (rng.next_double() < 0.25) h.resize(phi, size);
+        }
+        sampler.sample(phi, rng, chain);
+        h.rotate(chain, h.mirror.sizes()[phi - 1]);
+        const std::uint64_t len = h.mirror.sizes().size();
+        ASSERT_EQ(h.size_array.total_bytes(), h.mirror.prefix(len));
+        for (std::size_t j = 0; j < h.size_array.entry_count(); ++j) {
+          const std::uint64_t covered = std::min(h.size_array.boundary(j), len);
+          ASSERT_EQ(h.size_array.entry(j), h.mirror.prefix(covered))
+              << "boundary " << h.size_array.boundary(j) << " step " << step;
+        }
+        for (std::uint64_t p = 1; p <= len; p += 1 + len / 16) {
+          ASSERT_EQ(h.exact.byte_distance(p), h.mirror.prefix(p));
+        }
       }
     }
   }

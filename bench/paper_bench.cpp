@@ -1,6 +1,6 @@
 // paper_bench — one program for the paper's evaluation chapter (Tables
-// 5.1–5.4, Figs 1.1 and 5.1–5.5, §5.6), the design ablations, the obs
-// overhead budget and the sharded scaling table.
+// 5.1–5.4, Figs 1.1 and 5.1–5.5, §5.6), the design ablations and the
+// sharded scaling table.
 //
 //   paper_bench <experiment>...
 //
@@ -27,7 +27,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -144,38 +143,20 @@ MissRatioCurve run_model(const std::string& name, const EstimatorOptions& option
   return curve;
 }
 
-/// Interleaved medians: one timed pass of every configuration per round,
-/// `repeats` rounds, median taken per configuration. Because each round
-/// sees the same machine state, slow drift (thermal throttling, a noisy
-/// neighbor ramping up) lands on every configuration equally instead of
-/// biasing whichever one happened to run last — essential when the
-/// quantity of interest is a percent-level ratio between configurations,
-/// as in the obs_overhead budget. Round r starts at configuration
-/// r mod configs.size(), so no configuration always runs first, in the
-/// state the previous round's last pass left behind.
-std::vector<double> interleaved_median_seconds(
-    int repeats, const std::vector<std::function<void()>>& configs) {
-  std::vector<std::vector<double>> runs(configs.size());
+/// Median wall time of `repeats` runs of `run`.
+double median_seconds(int repeats, const std::function<void()>& run) {
+  std::vector<double> runs;
   for (int rep = 0; rep < repeats; ++rep) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      const std::size_t c = (static_cast<std::size_t>(rep) + i) % configs.size();
-      double seconds = 0.0;
-      {
-        ScopedTimer timer(seconds);
-        configs[c]();
-      }
-      runs[c].push_back(seconds);
+    double seconds = 0.0;
+    {
+      ScopedTimer timer(seconds);
+      run();
     }
+    runs.push_back(seconds);
   }
-  std::vector<double> medians;
-  medians.reserve(runs.size());
-  for (auto& r : runs) {
-    std::sort(r.begin(), r.end());
-    const std::size_t mid = r.size() / 2;
-    medians.push_back(r.size() % 2 == 1 ? r[mid]
-                                        : 0.5 * (r[mid - 1] + r[mid]));
-  }
-  return medians;
+  std::sort(runs.begin(), runs.end());
+  const std::size_t mid = runs.size() / 2;
+  return runs.size() % 2 == 1 ? runs[mid] : 0.5 * (runs[mid - 1] + runs[mid]);
 }
 
 /// Spatial sampling rate `base`, raised so this trace keeps at least
@@ -1177,108 +1158,6 @@ void ablation_sizearray(Claims& claims) {
                format_double(worst, 4));
 }
 
-// obs_overhead — the obs layer's own overhead budget, measured.
-//
-// Runs the end-to-end KrrProfiler over a synthetic Zipf trace (zipf:0.9,
-// 2M records x KRR_BENCH_SCALE, 100k keys, K = 5, R = 1) four ways:
-//   detached   no metrics attached
-//              (the default library user's configuration)
-//   attached   full PipelineMetrics wired in (what --metrics-out pays)
-//   heartbeat  attached + a Heartbeat ticked per record (what --progress
-//              pays on top)
-//   traced     attached + a Tracer recording what --trace-out records: a
-//              span around the profile loop and a stride-gated instant
-//              event every 4096 records
-// and reports throughput plus the relative slowdown. The attached and
-// traced overheads must stay within a 5% budget (medians of 5 interleaved
-// rounds; the heartbeat row is reported, not budgeted).
-double run_observed(const std::vector<Request>& trace, obs::PipelineMetrics* metrics,
-                    obs::Heartbeat* heartbeat, obs::Tracer* tracer = nullptr) {
-  KrrProfilerConfig cfg;
-  cfg.k_sample = 5;
-  cfg.seed = 7;
-  KrrProfiler profiler(cfg);
-  if (metrics != nullptr) profiler.attach_metrics(metrics);
-  if (heartbeat != nullptr) {
-    for (const Request& r : trace) {
-      profiler.access(r);
-      heartbeat->tick([&] {
-        obs::HeartbeatSnapshot s;
-        s.records = profiler.processed();
-        return s;
-      });
-    }
-  } else if (tracer != nullptr) {
-    // What a --trace-out run pays: one span around the loop plus a
-    // stride-gated instant (the same cadence the heartbeat uses).
-    constexpr std::uint64_t kTraceStride = 4096;
-    obs::ScopedTraceSpan span(tracer, "phase.profile", "phase");
-    std::uint64_t since_instant = 0;
-    for (const Request& r : trace) {
-      profiler.access(r);
-      if (++since_instant == kTraceStride) {
-        since_instant = 0;
-        tracer->instant("profile.progress", "bench", 0,
-                        {{"records",
-                          static_cast<double>(profiler.processed())}});
-      }
-    }
-  } else {
-    for (const Request& r : trace) profiler.access(r);
-  }
-  // Keep the run observable so the loop cannot be optimized away.
-  return profiler.mrc().eval(1.0);
-}
-
-void obs_overhead(Claims& claims) {
-  constexpr double kBudgetPct = 5.0;
-  const std::size_t n = scaled(2000000);
-  ZipfianGenerator gen(100000, 0.9, /*seed=*/21, /*scrambled=*/true);
-  const std::vector<Request> trace = materialize(gen, n);
-
-  obs::MetricsRegistry registry;
-  obs::PipelineMetrics metrics(registry);
-  // A muted heartbeat (stringstream sink, long interval): measures the
-  // per-record tick cost, not terminal IO.
-  std::ostringstream sink;
-
-  // One warmup, then round-robin over the configurations so machine-state
-  // drift (throttling, noisy neighbors) cancels out of the ratios.
-  run_observed(trace, nullptr, nullptr);
-  const std::vector<double> medians = interleaved_median_seconds(
-      5, {[&] { run_observed(trace, nullptr, nullptr); },
-          [&] { run_observed(trace, &metrics, nullptr); },
-          [&] {
-            obs::Heartbeat hb(3600.0, sink);
-            run_observed(trace, &metrics, &hb);
-          },
-          [&] {
-            obs::Tracer tracer;
-            run_observed(trace, &metrics, nullptr, &tracer);
-          }});
-  const double detached = medians[0];
-  const double nrec = static_cast<double>(n);
-  auto overhead_pct = [&](double s) { return (s / detached - 1.0) * 100.0; };
-
-  std::cout << "obs overhead on zipf:0.9 (n=" << n
-            << ", footprint=100000, K=5, R=1)\n";
-  Table table({"config", "median_s", "Mrec_per_s", "overhead_pct"});
-  const char* names[] = {"detached", "attached", "attached+heartbeat",
-                         "attached+traced"};
-  for (std::size_t i = 0; i < medians.size(); ++i) {
-    table.add(names[i], medians[i], nrec / medians[i] / 1e6,
-              overhead_pct(medians[i]));
-  }
-  table.print(std::cout);
-  const std::string budget = format_double(kBudgetPct, 0) + "%";
-  claims.check(overhead_pct(medians[1]) <= kBudgetPct,
-               "metrics-attached overhead within the " + budget + " budget",
-               format_double(overhead_pct(medians[1]), 2) + "%");
-  claims.check(overhead_pct(medians[3]) <= kBudgetPct,
-               "traced overhead within the " + budget + " budget",
-               format_double(overhead_pct(medians[3]), 2) + "%");
-}
-
 // parallel_scaling — throughput scaling of the sharded krr pipeline
 // against thread count on a synthetic Zipf trace (zipf:0.9, 2M records x
 // KRR_BENCH_SCALE, 100k keys), plus the accuracy cost of sharding: the
@@ -1299,7 +1178,7 @@ void parallel_scaling(Claims& claims) {
   base_opts.set("seed", "7");
   auto median_pass = [&](const std::string& model, const EstimatorOptions& o,
                          MissRatioCurve& out) {
-    return interleaved_median_seconds(3, {[&] { out = run_model(model, o, trace); }})[0];
+    return median_seconds(3, [&] { out = run_model(model, o, trace); });
   };
 
   // Serial baseline: the default krr_cli profile path.
@@ -1350,7 +1229,6 @@ constexpr Experiment kExperiments[] = {
     {"table5_6", table5_6},
     {"ablation_models", ablation_models},
     {"ablation_sizearray", ablation_sizearray},
-    {"obs_overhead", obs_overhead},
     {"parallel_scaling", parallel_scaling},
 };
 

@@ -32,12 +32,26 @@ KrrProfiler::KrrProfiler(const KrrProfilerConfig& config)
       configured_rate_(filter_.rate()) {}
 
 void KrrProfiler::attach_metrics(obs::PipelineMetrics* metrics) noexcept {
+  publish_counts();
   metrics_ = metrics;
   stack_.attach_metrics(metrics != nullptr ? &metrics->stack : nullptr);
 }
 
+void KrrProfiler::publish_counts() const noexcept {
+  if (metrics_ != nullptr) {
+    const std::uint64_t accesses = processed_ - published_processed_;
+    const std::uint64_t passed = sampled_ - published_sampled_;
+    metrics_->accesses->inc(accesses);
+    metrics_->filter_passed->inc(passed);
+    metrics_->filter_dropped->inc(accesses - passed);
+  }
+  published_processed_ = processed_;
+  published_sampled_ = sampled_;
+}
+
 void KrrProfiler::refresh_metrics_gauges() const noexcept {
   if (metrics_ == nullptr) return;
+  publish_counts();
   stack_.flush_metrics();
   metrics_->stack_depth->set(static_cast<double>(stack_.depth()));
   metrics_->resident_bytes->set(static_cast<double>(space_overhead_bytes()));
@@ -47,18 +61,8 @@ void KrrProfiler::refresh_metrics_gauges() const noexcept {
 
 void KrrProfiler::access(const Request& req) {
   ++processed_;
-  if (!filter_.sampled(req.key)) {
-    if (metrics_ != nullptr) {
-      metrics_->accesses->inc();
-      metrics_->filter_dropped->inc();
-    }
-    return;
-  }
+  if (!filter_.sampled(req.key)) return;
   ++sampled_;
-  if (metrics_ != nullptr) {
-    metrics_->accesses->inc();
-    metrics_->filter_passed->inc();
-  }
   const auto result = stack_.access(req.key, config_.byte_granularity ? req.size : 1);
   if (result.cold) {
     histogram_.record_infinite();

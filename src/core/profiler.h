@@ -196,22 +196,28 @@ class KrrProfiler {
 
   const KrrProfilerConfig& config() const noexcept { return config_; }
 
-  /// Attaches hot-path instrumentation (and the stack's, see
-  /// KrrStack::attach_metrics): per-access counters for filter pass/drop,
-  /// degradations, and the stack update histograms. The metrics must
-  /// outlive the profiler; nullptr detaches. A detached profiler pays one
-  /// pointer test per access.
+  /// Attaches instrumentation (and the stack's, see
+  /// KrrStack::attach_metrics): the profiler.accesses and filter pass/drop
+  /// counters, degradations, and the stack update histograms. Records
+  /// processed before the call are folded into the metrics attached before
+  /// and never into `metrics`, so a profiler attached after load_state()
+  /// counts only the records it processes itself. The metrics must outlive
+  /// the profiler; nullptr detaches.
   void attach_metrics(obs::PipelineMetrics* metrics) noexcept;
 
-  /// Pushes the instantaneous state into the attached metrics' gauges
-  /// (stack.depth, stack.resident_bytes, filter.rate, histogram.bins) and
-  /// folds in the stack's held counts (KrrStack::flush_metrics). Called by
-  /// heartbeat/export code and at finish, not the access path. No-op when
-  /// detached.
+  /// Publishes into the attached metrics: the records processed and
+  /// sampled since the last publish (profiler.accesses, filter.passed,
+  /// filter.dropped), the stack's held counts (KrrStack::flush_metrics),
+  /// and the instantaneous gauges (stack.depth, stack.resident_bytes,
+  /// filter.rate, histogram.bins). The access path touches no metric;
+  /// heartbeat/export code and finish call this. No-op when detached.
   void refresh_metrics_gauges() const noexcept;
 
  private:
   void maybe_degrade();
+  /// Folds the counts since the last publish into the attached metrics and
+  /// moves the publish baseline up to the current counts.
+  void publish_counts() const noexcept;
   /// Replaces histogram_ by adjusted_histogram() once (absorb/scale_mass).
   void fold_adjustment();
 
@@ -235,6 +241,10 @@ class KrrProfiler {
   double expected_sampled_base_ = 0.0;
   std::uint64_t processed_at_rate_change_ = 0;
   obs::PipelineMetrics* metrics_ = nullptr;
+  /// processed_/sampled_ as of the last publish_counts(). Mutable because
+  /// publishing happens on const paths.
+  mutable std::uint64_t published_processed_ = 0;
+  mutable std::uint64_t published_sampled_ = 0;
   double expected_sampled() const noexcept {
     return expected_sampled_base_ +
            static_cast<double>(processed_ - processed_at_rate_change_) *

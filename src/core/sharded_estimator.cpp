@@ -270,13 +270,8 @@ ShardFanout::~ShardFanout() {
 
 void ShardFanout::route(std::uint32_t index, const Request& req) {
   ++processed_;
+  ++routed_;
   Shard& shard = *shards_[index];
-  if (metrics_ != nullptr) {
-    metrics_->sharded.enqueued->inc();
-    if ((shard.routed & 1023u) == 0) {
-      metrics_->sharded.queue_depth->record(shard.queue.size_approx());
-    }
-  }
   if (shard.dead.load(std::memory_order_acquire)) {
     dropped_records_.fetch_add(1 + std::uint64_t{shard.pending},
                                std::memory_order_relaxed);
@@ -342,7 +337,7 @@ void ShardFanout::push(Shard& shard, std::uint32_t index,
     return;
   }
   if (shard.queue.try_push(entry)) {
-    ++shard.routed;
+    count_queued(shard);
     return;
   }
   // Backpressure: the shard's worker is behind. Back off (spin, then
@@ -351,7 +346,6 @@ void ShardFanout::push(Shard& shard, std::uint32_t index,
   // shard must not pin the producer core. One stall in kDrainTraceStride
   // is traced; sharded.producer_stalls keeps the exact count.
   const std::uint64_t stall_number = ++stalls_;
-  if (metrics_ != nullptr) metrics_->sharded.producer_stalls->inc();
   const bool traced =
       tracer_ != nullptr && (stall_number - 1) % kDrainTraceStride == 0;
   const std::uint64_t stall_start_ns = traced ? tracer_->now_ns() : 0;
@@ -386,8 +380,27 @@ void ShardFanout::push(Shard& shard, std::uint32_t index,
     }
     if (shard.queue.try_push(entry)) break;
   }
-  ++shard.routed;
+  count_queued(shard);
   end_stall();
+}
+
+void ShardFanout::count_queued(Shard& shard) {
+  // The queue depth is sampled once per 1024 entries, so the branch, not
+  // the histogram, is what the other entries pay.
+  if ((++shard.routed & 1023u) == 0 && metrics_ != nullptr) {
+    metrics_->sharded.queue_depth->record(shard.queue.size_approx());
+  }
+}
+
+void ShardFanout::publish_metrics() {
+  if (metrics_ == nullptr) return;
+  metrics_->accesses->inc(processed_ - published_processed_);
+  metrics_->sharded.enqueued->inc(routed_ - published_routed_);
+  metrics_->sharded.producer_stalls->inc(stalls_ - published_stalls_);
+  metrics_->sharded.stall_seconds->set(stall_seconds_);
+  published_processed_ = processed_;
+  published_routed_ = routed_;
+  published_stalls_ = stalls_;
 }
 
 Status ShardFanout::quiesce() {
@@ -446,8 +459,8 @@ void ShardFanout::finish() {
     }
   }
   finished_ = true;
+  publish_metrics();
   if (metrics_ != nullptr) {
-    metrics_->sharded.stall_seconds->set(stall_seconds_);
     metrics_->sharded.shard_failures->inc(shards_failed());
   }
   // Best-effort recovery extrapolates from the survivors; with none left
@@ -838,10 +851,10 @@ void ShardedEstimator::finish() {
   cache_shard_stats();
   if (obs::PipelineMetrics* metrics = pipeline_metrics()) {
     // The shard instances run detached (per-record counters on shared
-    // cache lines would serialize the workers), so the profiler/filter
-    // slice is published once, from the totals the run already owns.
+    // cache lines would serialize the workers), so the filter slice is
+    // published once, from the totals the run already owns; the fan-out
+    // published profiler.accesses in finish().
     const obs::HeartbeatSnapshot totals = snapshot();
-    metrics->accesses->inc(totals.records);
     metrics->filter_passed->inc(totals.sampled);
     metrics->filter_dropped->inc(totals.records - totals.sampled);
     metrics->sampling_rate->set(totals.sampling_rate);
@@ -1132,6 +1145,11 @@ Status ShardedEstimator::load_state(const std::string& snapshot) {
 void ShardedEstimator::attach_metrics(obs::PipelineMetrics* metrics) noexcept {
   MrcEstimator::attach_metrics(metrics);
   fanout_.attach_metrics(metrics);
+}
+
+void ShardedEstimator::refresh_metrics_gauges() const noexcept {
+  MrcEstimator::refresh_metrics_gauges();
+  fanout_.publish_metrics();
 }
 
 void ShardedEstimator::attach_tracer(obs::Tracer* tracer) noexcept {

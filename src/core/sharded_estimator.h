@@ -235,6 +235,13 @@ class ShardFanout {
   /// workers on shared cache lines).
   void attach_metrics(obs::PipelineMetrics* metrics) noexcept;
 
+  /// Producer side: publishes what the producer counts in its own fields
+  /// (profiler.accesses, sharded.enqueued and sharded.producer_stalls, by
+  /// their growth since the last publish, and the stall seconds). route()
+  /// and skip() touch no metric; finish() and the owner's gauge refresh
+  /// call this. No-op while detached.
+  void publish_metrics();
+
   /// Attaches span/event tracing: lane 0 is the producer, lane s+1 is
   /// shard s (named in the export). Workers emit one drain span per
   /// kDrainTraceStride batches and the producer one queue-stall span per
@@ -253,6 +260,8 @@ class ShardFanout {
 
   void flush_skips(Shard& shard, std::uint32_t index);
   void push(Shard& shard, std::uint32_t index, const ShardEntry& entry);
+  /// Producer side: charges one queued entry to the shard's ledger.
+  void count_queued(Shard& shard);
   void drain_batch(Shard& shard, std::uint32_t index, bool& did_work);
   bool consume_entry(Shard& shard, std::uint32_t index,
                      const ShardEntry& entry);
@@ -275,7 +284,12 @@ class ShardFanout {
   std::atomic<std::uint64_t> replayed_records_{0};   // journal records re-applied
   bool finished_ = false;
   std::uint64_t processed_ = 0;           // producer-side
+  std::uint64_t routed_ = 0;              // producer-side: route() calls
   std::uint64_t stalls_ = 0;              // producer-side
+  // The three counts above as of the last publish_metrics().
+  std::uint64_t published_processed_ = 0;
+  std::uint64_t published_routed_ = 0;
+  std::uint64_t published_stalls_ = 0;
   double stall_seconds_ = 0.0;            // producer-side
   obs::Tracer* tracer_ = nullptr;         // unconditional: gauge-grade events
   obs::PipelineMetrics* metrics_ = nullptr;  // touched only when attached
@@ -368,6 +382,9 @@ class ShardedEstimator final : public MrcEstimator {
   Status load_state(const std::string& payload) override;
 
   void attach_metrics(obs::PipelineMetrics* metrics) noexcept override;
+  /// Adds the fan-out's producer counts (ShardFanout::publish_metrics) to
+  /// the model.* gauges. Producer thread only.
+  void refresh_metrics_gauges() const noexcept override;
   void attach_tracer(obs::Tracer* tracer) noexcept override;
   void export_gauges(obs::MetricsRegistry& registry) const override;
 

@@ -144,10 +144,9 @@ class MetricsRegistry {
   std::deque<std::pair<std::string, LogHistogram>> histograms_;
 };
 
-/// Hot-path instrumentation is always compiled in: attach_metrics() wires
-/// per-access counters/histograms at run time, and a detached pipeline pays
-/// one pointer test per access. Kept as a constant for readers that report
-/// it (krr_cli's `instrumentation_compiled_in`, benchmark provenance).
+/// Instrumentation is always compiled in and attached at run time. Kept
+/// as a constant only for the benchmark's provenance record
+/// (benchmark/krr_bench.cpp reports it as `krr_metrics`).
 inline constexpr bool kHotPathInstrumentation = true;
 
 /// The KrrStack-level slice of the pipeline metrics: what the stack update

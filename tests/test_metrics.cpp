@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/estimator.h"
@@ -443,6 +444,52 @@ TEST(ProfilerMetricsTest, CountersMatchProfilerAccounting) {
                    static_cast<double>(profiler.stack_depth()));
   EXPECT_DOUBLE_EQ(registry.gauge("filter.rate").value(),
                    profiler.current_sampling_rate());
+
+  // The access path keeps its counts in the profiler; each refresh
+  // publishes what was counted since the previous one, so a mid-run
+  // refresh followed by more records and a second refresh counts every
+  // record once.
+  const auto expect_counted = [](const obs::PipelineMetrics& m,
+                                 std::uint64_t accesses, std::uint64_t passed) {
+    EXPECT_EQ(m.accesses->value(), accesses);
+    EXPECT_EQ(m.filter_passed->value(), passed);
+    EXPECT_EQ(m.filter_dropped->value(), accesses - passed);
+  };
+  const std::size_t half = trace.size() / 2;
+  {
+    SCOPED_TRACE("mid-run refresh");
+    obs::MetricsRegistry mid_registry;
+    obs::PipelineMetrics mid_metrics(mid_registry);
+    KrrProfiler mid(cfg);
+    mid.attach_metrics(&mid_metrics);
+    for (std::size_t i = 0; i < half; ++i) mid.access(trace[i]);
+    mid.refresh_metrics_gauges();
+    expect_counted(mid_metrics, half, mid.sampled());
+    for (std::size_t i = half; i < trace.size(); ++i) mid.access(trace[i]);
+    mid.refresh_metrics_gauges();
+    mid.refresh_metrics_gauges();
+    expect_counted(mid_metrics, trace.size(), mid.sampled());
+    EXPECT_EQ(mid.sampled(), profiler.sampled());
+  }
+  {
+    // A resumed run counts only the records it processes itself, not the
+    // ones its checkpoint already covers.
+    SCOPED_TRACE("load_state then attach");
+    KrrProfiler first(cfg);
+    for (std::size_t i = 0; i < half; ++i) first.access(trace[i]);
+    std::string payload;
+    ASSERT_TRUE(first.save_state(&payload).is_ok());
+    KrrProfiler resumed(cfg);
+    ASSERT_TRUE(resumed.load_state(payload).is_ok());
+    obs::MetricsRegistry resumed_registry;
+    obs::PipelineMetrics resumed_metrics(resumed_registry);
+    resumed.attach_metrics(&resumed_metrics);
+    for (std::size_t i = half; i < trace.size(); ++i) resumed.access(trace[i]);
+    resumed.refresh_metrics_gauges();
+    EXPECT_EQ(resumed.processed(), trace.size());
+    expect_counted(resumed_metrics, trace.size() - half,
+                   resumed.sampled() - first.sampled());
+  }
 }
 
 TEST(ProfilerMetricsTest, SwapCounterMatchesFigure54Instrumentation) {

@@ -940,20 +940,36 @@ TEST(ShardedKrrProfiler, LowRateReplayAfterResumeIsBitIdentical) {
 }
 
 TEST(ShardedKrrProfiler, GateQueuesOnlySampledRecords) {
+  // Inline (threads=1) and threaded fan-outs. The producer publishes its
+  // counts at a gauge refresh and at finish, each time by their growth
+  // since the last publish: a mid-run refresh, and the refresh a CLI makes
+  // after finish, leave every total exact.
   const auto trace = zipf_trace(200000, 20000);
-  auto est = make("krr_sharded", low_rate_options());
-  obs::MetricsRegistry registry;
-  obs::PipelineMetrics metrics(registry);
-  est->attach_metrics(&metrics);
-  run(*est, trace);
-  const obs::HeartbeatSnapshot totals = est->snapshot();
-  EXPECT_EQ(totals.records, trace.size());
-  EXPECT_GT(totals.sampled, 0u);
-  EXPECT_EQ(registry.counter("sharded.enqueued").value(), totals.sampled);
-  EXPECT_EQ(registry.counter("filter.passed").value(), totals.sampled);
-  EXPECT_EQ(registry.counter("profiler.accesses").value(), trace.size());
-  EXPECT_EQ(registry.counter("filter.dropped").value(),
-            trace.size() - totals.sampled);
+  const std::size_t half = trace.size() / 2;
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EstimatorOptions opts = krr_options(4, threads);
+    opts.set("rate", "0.01");
+    auto est = make("krr_sharded", opts);
+    obs::MetricsRegistry registry;
+    obs::PipelineMetrics metrics(registry);
+    est->attach_metrics(&metrics);
+    for (std::size_t i = 0; i < half; ++i) est->access(trace[i]);
+    est->refresh_metrics_gauges();
+    EXPECT_EQ(registry.counter("profiler.accesses").value(), half);
+    EXPECT_GT(registry.counter("sharded.enqueued").value(), 0u);
+    for (std::size_t i = half; i < trace.size(); ++i) est->access(trace[i]);
+    est->finish();
+    est->refresh_metrics_gauges();
+    const obs::HeartbeatSnapshot totals = est->snapshot();
+    EXPECT_EQ(totals.records, trace.size());
+    EXPECT_GT(totals.sampled, 0u);
+    EXPECT_EQ(registry.counter("sharded.enqueued").value(), totals.sampled);
+    EXPECT_EQ(registry.counter("filter.passed").value(), totals.sampled);
+    EXPECT_EQ(registry.counter("profiler.accesses").value(), trace.size());
+    EXPECT_EQ(registry.counter("filter.dropped").value(),
+              trace.size() - totals.sampled);
+  }
 }
 
 TEST(ShardFanout, QueueStallSpansAreStrideGated) {

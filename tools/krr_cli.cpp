@@ -464,7 +464,6 @@ void write_metrics(std::ostream& os, const std::string& format,
                    const obs::MetricsRegistry& registry, const RunReport& report) {
   if (format == "json") {
     obs::Json root = registry.to_json();
-    root.set("instrumentation_compiled_in", obs::Json(obs::kHotPathInstrumentation));
     root.set("run_report", to_json(report));
     root.dump(os, 0);
     os << '\n';
